@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, level_crossings
 from .kernels import HalfLineParams, sign_region_x, t0_threshold
 from .solver import Trajectory, solve_linear_halfline
 
@@ -36,22 +36,14 @@ class HypothesisMismatchError(ValueError):
 
 def level_position(snapshot: GridFunction, level: float, side: str = "right") -> float:
     """Outermost crossing of ``level`` with linear sub-cell interpolation."""
-    if snapshot.dim != 1:
-        raise ValueError("level tracking is one-dimensional.")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0,1).")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'.")
-    u = snapshot.values
-    x = snapshot.axis(0)
-    s = u - level
-    positions = list(x[s == 0])
-    sign_change = s[:-1] * s[1:] < 0
-    for i in np.nonzero(sign_change)[0]:
-        positions.append(x[i] + snapshot.h * (level - u[i]) / (u[i + 1] - u[i]))
-    if not positions:
+    positions, _ = level_crossings(snapshot, level)
+    if not positions.size:
         raise LevelNotCrossedError(f"no crossing of level {level} in the snapshot.")
-    return float(max(positions) if side == "right" else min(positions))
+    return float(positions[-1] if side == "right" else positions[0])
 
 
 def spreading_speed(
@@ -85,6 +77,13 @@ def level_curve(traj: Trajectory, level: float, side: str = "right") -> list[tup
     return out
 
 
+def _holds_from(ok: np.ndarray) -> Optional[int]:
+    """First index from which ``ok`` holds at every later entry; None when
+    the last entry fails."""
+    hit = np.flatnonzero(np.logical_and.accumulate(ok[::-1])[::-1])
+    return int(hit[0]) if hit.size else None
+
+
 def find_T_monotone(traj: Trajectory, tol: float = ORDER_TOL) -> float:
     """Smallest snapshot shift T with u(1+t,.) >= u(1,.) - tol for every
     snapshot shift t >= T; +inf sentinel when no shift qualifies."""
@@ -96,11 +95,8 @@ def find_T_monotone(traj: Trajectory, tol: float = ORDER_TOL) -> float:
     if not later:
         return math.inf
     ok = np.array([float(np.min(s.u.values - base.u.values)) >= -tol for s in later])
-    good_tail = np.logical_and.accumulate(ok[::-1])[::-1]
-    for snap, good in zip(later, good_tail):
-        if good:
-            return float(snap.t - 1.0)
-    return math.inf
+    i = _holds_from(ok)
+    return math.inf if i is None else float(later[i].t - 1.0)
 
 
 def estimate_tau_star(traj: Trajectory, t_floor: float, tol: float = ORDER_TOL) -> float:
@@ -121,11 +117,8 @@ def estimate_tau_star(traj: Trajectory, t_floor: float, tol: float = ORDER_TOL) 
     for j in range(1, m):
         diff = fields[j:] - fields[: m - j]
         ordered[j] = bool(np.min(diff) >= -tol)
-    good_tail = np.logical_and.accumulate(ordered[::-1])[::-1]
-    for j in range(1, m):
-        if good_tail[j]:
-            return float(j * delta)
-    return math.inf
+    j = _holds_from(ordered)
+    return math.inf if j is None else float(max(j, 1) * delta)
 
 
 @dataclass
@@ -201,9 +194,8 @@ def monotonicity_report(
         for i, s in enumerate(snaps):
             qualify = _sign_masks(s, margin, zero_floor, one_floor) & (s.u.values >= eps)
             ok[i] = bool(np.all(s.rhs.values[qualify] > 0.0)) if qualify.any() else True
-        good_tail = np.logical_and.accumulate(ok[::-1])[::-1]
-        hit = np.nonzero(good_tail)[0]
-        T = float(times[hit[0]]) if hit.size else math.inf
+        i = _holds_from(ok)
+        T = math.inf if i is None else float(times[i])
         T_eps[float(eps)] = T
         verdicts[f"sign_above_{eps:g}"] = ClauseVerdict(
             passed=math.isfinite(T),
@@ -284,14 +276,10 @@ def global_sign_report(
     for i, s in enumerate(snaps):
         m = _sign_masks(s, margin, zero_floor, one_floor)
         ok[i] = bool(np.all(s.rhs.values[m] > 0.0)) if m.any() else True
-    good_tail = np.logical_and.accumulate(ok[::-1])[::-1]
-    hit = np.nonzero(good_tail)[0]
+    i = _holds_from(ok)
     # t=0 carries the raw initial datum; the statement concerns t >= tau > 0
-    tau = math.inf
-    for i in hit:
-        if times[i] > 1e-12:
-            tau = float(times[i])
-            break
+    hits = [] if i is None else [t for t in times[i:] if t > 1e-12]
+    tau = float(hits[0]) if hits else math.inf
     return GlobalSignCertificate(
         tau_global=tau,
         checked_times=tuple(float(t) for t in times),

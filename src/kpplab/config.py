@@ -37,6 +37,12 @@ def _number(value, key: str, where: str) -> float:
     return float(value)
 
 
+def _numbers(value, key: str, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise SchemaError(f"key '{key}' in block '{where}' must be a list of numbers.")
+    return tuple(_number(v, key, where) for v in value)
+
+
 def _parse_coefficient(block: dict) -> CoefficientField:
     kind = _require(block, "kind", "problem.coefficient")
     if kind == "constant":
@@ -69,14 +75,13 @@ def _parse_reaction(block: dict) -> Reaction:
         return Reaction.zero()
     if kind == "piecewise-kpp":
         _check_keys(
-            block, {"kind", "rate_minus", "rate_plus", "theta", "radius", "s1"}, "problem.reaction"
+            block, {"kind", "rate_minus", "rate_plus", "theta", "radius"}, "problem.reaction"
         )
         return Reaction.piecewise_kpp(
             _number(_require(block, "rate_minus", "problem.reaction"), "rate_minus", "problem.reaction"),
             _number(_require(block, "rate_plus", "problem.reaction"), "rate_plus", "problem.reaction"),
             _number(_require(block, "theta", "problem.reaction"), "theta", "problem.reaction"),
             _number(_require(block, "radius", "problem.reaction"), "radius", "problem.reaction"),
-            s1=_number(block.get("s1", 0.9), "s1", "problem.reaction"),
         )
     raise SchemaError(f"unknown reaction kind '{kind}'.")
 
@@ -130,7 +135,6 @@ def _parse_solver(block: dict) -> tuple[SolverConfig, bool]:
         "t_final",
         "snapshot_every",
         "snapshot_times",
-        "boundary",
         "boundary_leak_tolerance",
         "hard_leak_threshold",
         "validate",
@@ -147,15 +151,11 @@ def _parse_solver(block: dict) -> tuple[SolverConfig, bool]:
         t_final=_number(_require(block, "t_final", "solver"), "t_final", "solver"),
         dt=dt if dt == "auto" else float(dt),
         scheme=block.get("scheme", "explicit-euler"),
-        boundary=block.get("boundary", "dirichlet-zero"),
     )
     if "snapshot_every" in block:
         kwargs["snapshot_every"] = _number(block["snapshot_every"], "snapshot_every", "solver")
     if "snapshot_times" in block:
-        times = block["snapshot_times"]
-        if not isinstance(times, list):
-            raise SchemaError("solver.snapshot_times must be a list of times.")
-        kwargs["snapshot_times"] = tuple(_number(t, "snapshot_times", "solver") for t in times)
+        kwargs["snapshot_times"] = _numbers(block["snapshot_times"], "snapshot_times", "solver")
     if "boundary_leak_tolerance" in block:
         kwargs["boundary_leak_tolerance"] = _number(
             block["boundary_leak_tolerance"], "boundary_leak_tolerance", "solver"
@@ -185,18 +185,18 @@ def _parse_analysis(block: dict) -> AnalysisOptions:
     _check_keys(block, allowed, "analysis")
     window = block.get("speed_window")
     if window is not None:
-        if not (isinstance(window, list) and len(window) == 2):
+        window = _numbers(window, "speed_window", "analysis")
+        if len(window) != 2:
             raise SchemaError("analysis.speed_window must be [t_start, t_end].")
-        window = (float(window[0]), float(window[1]))
     side = block.get("side", "right")
     if side not in ("left", "right"):
         raise SchemaError("analysis.side must be 'left' or 'right'.")
     return AnalysisOptions(
-        eps_list=tuple(float(e) for e in block.get("eps_list", [])),
-        levels=tuple(float(l) for l in block.get("levels", [])),
+        eps_list=_numbers(block.get("eps_list", []), "eps_list", "analysis"),
+        levels=_numbers(block.get("levels", []), "levels", "analysis"),
         speed_window=window,
-        tau_floor=float(block["tau_floor"]) if "tau_floor" in block else None,
-        margin=float(block.get("margin", 1.0)),
+        tau_floor=_number(block["tau_floor"], "tau_floor", "analysis") if "tau_floor" in block else None,
+        margin=_number(block.get("margin", 1.0), "margin", "analysis"),
         side=side,
     )
 

@@ -130,3 +130,18 @@ class GridFunction:
 def assert_same_grid(a: GridFunction, b: GridFunction) -> None:
     if a.values.shape != b.values.shape or a.origin != b.origin or a.h != b.h:
         raise ValueError("grid functions live on different grids.")
+
+
+def level_crossings(f: GridFunction, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where a 1D field crosses ``level``, in increasing x: the nodes equal to
+    it, and linear sub-cell interpolation in every cell whose ends straddle
+    it. Also returns the rise u[i+1]-u[i] of each straddled cell."""
+    if f.dim != 1:
+        raise ValueError("level crossings are one-dimensional.")
+    u = f.values
+    x = f.axis(0)
+    s = u - level
+    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    rise = u[idx + 1] - u[idx]
+    pos = x[idx] + f.h * (level - u[idx]) / rise
+    return np.sort(np.concatenate([pos, x[s == 0]])), rise

@@ -109,7 +109,6 @@ class Reaction:
     rate_minus: float = 1.0
     rate_plus: float = 1.0
     theta: float = 0.5
-    s1: float = 0.9
     radius: float = 0.0
     r_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
     g_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -130,7 +129,7 @@ class Reaction:
 
     @staticmethod
     def piecewise_kpp(
-        rate_minus: float, rate_plus: float, theta: float, radius: float, s1: float = 0.9
+        rate_minus: float, rate_plus: float, theta: float, radius: float
     ) -> "Reaction":
         if rate_minus <= 0 or rate_plus <= 0:
             raise ValueError("piecewise rates must be positive.")
@@ -138,15 +137,12 @@ class Reaction:
             raise ValueError("theta must lie in (0,1).")
         if radius <= 0:
             raise ValueError("blend radius must be positive.")
-        if not 0 < s1 < 1:
-            raise ValueError("s1 must lie in (0,1).")
         return Reaction(
             kind="piecewise-kpp",
             rate_minus=rate_minus,
             rate_plus=rate_plus,
             theta=theta,
             radius=radius,
-            s1=s1,
         )
 
     def tent(self, u, rate: float) -> np.ndarray:
@@ -157,21 +153,33 @@ class Reaction:
     def blend_weight(self, x) -> np.ndarray:
         return smoothstep((np.asarray(x, dtype=float) + self.radius) / (2.0 * self.radius))
 
+    def bind(self, points) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """f(x, .) at fixed points as a function of u alone; None for the zero kind.
+
+        The x-dependent factors are computed once, so a time march evaluates
+        only the u-dependent part at each step. This is the one place that
+        knows the formula of each kind.
+        """
+        if self.kind == "zero":
+            return None
+        if self.kind == "logistic":
+            rate = self.rate
+            return lambda u: rate * u * (1.0 - u)
+        x = np.asarray(_first_coord(points), dtype=float)
+        if self.kind == "separable":
+            rx = np.asarray(self.r_func(x), dtype=float)
+            return lambda u: rx * np.asarray(self.g_func(u), dtype=float)
+        if self.kind == "piecewise-kpp":
+            w = self.blend_weight(x)
+            return lambda u: (
+                w * self.tent(u, self.rate_plus) + (1.0 - w) * self.tent(u, self.rate_minus)
+            )
+        raise ValueError(f"unknown reaction kind {self.kind!r}.")
+
     def evaluate(self, points, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(u)
-        if self.kind == "logistic":
-            return self.rate * u * (1.0 - u)
-        if self.kind == "separable":
-            x = _first_coord(points)
-            return np.asarray(self.r_func(np.asarray(x, dtype=float)), dtype=float) * np.asarray(
-                self.g_func(u), dtype=float
-            )
-        if self.kind == "piecewise-kpp":
-            w = self.blend_weight(_first_coord(points))
-            return w * self.tent(u, self.rate_plus) + (1.0 - w) * self.tent(u, self.rate_minus)
-        raise ValueError(f"unknown reaction kind {self.kind!r}.")
+        f = self.bind(points)
+        return np.zeros_like(u) if f is None else f(u)
 
     def lipschitz_bound(self, n_samples: int = 256) -> float:
         """Upper bound on |df/du|, uniform in x (sampled for separable kinds)."""

@@ -5,13 +5,15 @@ face-centered coefficients; under the CFL restriction the update is monotone,
 so discrete comparison and maximum principles hold. An IMEX variant (implicit
 diffusion via a banded Cholesky solve, 1D) is available for stiff sweeps.
 Boundary nodes are held fixed (Dirichlet truncation; zero for decaying data).
+The whole-space solve, the fundamental solutions and the half-line solve all
+step one stencil through one march loop.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -38,7 +40,6 @@ class SolverConfig:
     scheme: str = "explicit-euler"
     snapshot_every: Optional[float] = None
     snapshot_times: Optional[tuple[float, ...]] = None
-    boundary: str = "dirichlet-zero"
     boundary_leak_tolerance: float = 1e-8
     hard_leak_threshold: float = 1e-3
 
@@ -47,8 +48,6 @@ class SolverConfig:
             raise ValueError("h and t_final must be positive.")
         if self.scheme not in ("explicit-euler", "imex-diffusion-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}.")
-        if self.boundary != "dirichlet-zero":
-            raise ValueError(f"unknown boundary treatment {self.boundary!r}.")
         if isinstance(self.dt, str) and self.dt != "auto":
             raise ValueError("dt must be a positive number or 'auto'.")
         if not isinstance(self.dt, str) and self.dt <= 0:
@@ -94,24 +93,6 @@ class Trajectory:
         return iter(self.snapshots)
 
 
-def _compile_reaction(r: Reaction, points) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Close over the spatial structure once so stepping only touches u."""
-    if r.kind == "zero":
-        return None
-    if r.kind == "logistic":
-        rate = r.rate
-        return lambda u: rate * u * (1.0 - u)
-    if r.kind == "piecewise-kpp":
-        x = points[0] if isinstance(points, (tuple, list)) else points
-        w = r.blend_weight(x)
-        return lambda u: w * r.tent(u, r.rate_plus) + (1.0 - w) * r.tent(u, r.rate_minus)
-    if r.kind == "separable":
-        x = points[0] if isinstance(points, (tuple, list)) else points
-        rx = np.asarray(r.r_func(np.asarray(x, dtype=float)), dtype=float)
-        return lambda u: rx * np.asarray(r.g_func(u), dtype=float)
-    raise ValueError(f"unknown reaction kind {r.kind!r}.")
-
-
 class _Stepper:
     """Precomputed faces and reaction closure for one equation on one grid."""
 
@@ -136,7 +117,7 @@ class _Stepper:
             X, Y = np.meshgrid(x[1:-1], y[1:-1], indexing="ij")
             pts = (X, Y)
             self.a_max = float(max(np.max(self.faces_x), np.max(self.faces_y)))
-        self.f_interior = _compile_reaction(reaction, pts)
+        self.f_interior = reaction.bind(pts)
         self._chol = None
         self._chol_dt = None
 
@@ -226,6 +207,29 @@ def _resolve_dt(stepper: _Stepper, cfg: SolverConfig) -> float:
     return dt
 
 
+def _march(
+    state: np.ndarray,
+    t: float,
+    targets: Sequence[float],
+    dt: float,
+    advance: Callable[[np.ndarray, float], np.ndarray],
+    after_step: Optional[Callable[[float, np.ndarray], None]] = None,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Step ``state`` from ``t`` through the sorted targets, yielding (t, state)
+    on reaching each one. The last step before a target is shortened to land
+    on it exactly; ``after_step(t, state)`` runs after every step (boundary
+    traces, blow-up guards)."""
+    for target in targets:
+        while t < target - 1e-12:
+            dtk = min(dt, target - t)
+            state = advance(state, dtk)
+            t += dtk
+            if after_step is not None:
+                after_step(t, state)
+        t = float(target)
+        yield t, state
+
+
 def discrete_rhs(state: GridFunction, p: Problem) -> GridFunction:
     """Exact discrete right-hand side div_h(a grad_h u) + f(x,u) of a state."""
     stepper = _Stepper(p.coefficient, p.reaction, state.grid)
@@ -284,7 +288,6 @@ def solve(
         state = initial_state.values.copy()
     stepper = _Stepper(p.coefficient, p.reaction, grid)
     dt = _resolve_dt(stepper, cfg)
-    explicit = cfg.scheme == "explicit-euler"
 
     targets = cfg.resolved_snapshot_times() + t_start
     targets = np.unique(np.concatenate([targets, np.asarray(extra_snapshot_times, dtype=float)]))
@@ -292,14 +295,9 @@ def solve(
 
     traj = Trajectory(problem=p, config=cfg)
     warned = False
-    t = t_start
-    _check_solution_range(state, t)
-    for target in targets:
-        while t < target - 1e-12:
-            dtk = min(dt, target - t)
-            state = stepper.step_explicit(state, dtk) if explicit else stepper.step_imex(state, dtk)
-            t += dtk
-        t = float(target)
+    _check_solution_range(state, t_start)
+    advance = stepper.step_explicit if cfg.scheme == "explicit-euler" else stepper.step_imex
+    for t, state in _march(state, t_start, targets, dt, advance):
         _check_solution_range(state, t)
         leak = _boundary_cells_max(state)
         traj.leak_max = max(traj.leak_max, leak)
@@ -360,13 +358,7 @@ def fundamental_solution(
     cell = grid.h**grid.dim
 
     result = KernelResult(times=[], kernels=[], masses=[], source=source)
-    t = 0.0
-    for target in t_targets:
-        while t < target - 1e-12:
-            dtk = min(dt, target - t)
-            state = stepper.step_explicit(state, dtk)
-            t += dtk
-        t = target
+    for t, state in _march(state, 0.0, t_targets, dt, stepper.step_explicit):
         mn = float(np.min(state))
         if math.isnan(mn):
             raise NumericalError(f"NaN in fundamental solution at t={t:.6g}.")
@@ -393,7 +385,9 @@ def solve_linear_halfline(
 ) -> list[tuple[float, GridFunction, GridFunction]]:
     """Explicit solve of v_t = a v_xx + lam v on (0, X] with v(t,0)=g(t).
 
-    The right end is a Dirichlet-zero truncation; callers restrict their
+    Runs the whole-space stepper with a constant coefficient and the reaction
+    lam*v; the trace g(t) is written into the left node after every step. The
+    right end is a Dirichlet-zero truncation; callers restrict their
     conclusions to a reliable window away from it. Returns (t, v, rhs) with
     rhs the discrete a v_xx + lam v.
     """
@@ -402,33 +396,22 @@ def solve_linear_halfline(
     if a <= 0 or lam < 0:
         raise ValueError("need a > 0 and lam >= 0.")
     t_targets = sorted(float(t) for t in t_targets)
-    h = v0.h
-    inv_h2 = 1.0 / h**2
-    dt = 0.9 * h**2 / (2.0 * a)
+    dt = 0.9 * v0.h**2 / (2.0 * a)
+    reaction = Reaction.zero()
     if lam > 0:
+        reaction = Reaction.separable(lambda x: np.full_like(x, lam), lambda u: u)
         dt = min(dt, 0.5 / lam)
+    stepper = _Stepper(CoefficientField.constant(a), reaction, v0.grid)
+
+    def hold_trace(t: float, v: np.ndarray) -> None:
+        v[0] = float(g(t))
+        if not np.isfinite(v[1]):
+            raise NumericalError(f"half-line solve blew up at t={t:.6g}.")
 
     v = v0.values.copy()
     v[0] = float(g(0.0))
-
-    def rhs_of(state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        out[1:-1] = a * (state[2:] - 2.0 * state[1:-1] + state[:-2]) * inv_h2 + lam * state[1:-1]
-        return out
-
     out: list[tuple[float, GridFunction, GridFunction]] = []
-    t = 0.0
-    for target in t_targets:
-        while t < target - 1e-12:
-            dtk = min(dt, target - t)
-            v[1:-1] += dtk * (
-                a * (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_h2 + lam * v[1:-1]
-            )
-            t += dtk
-            v[0] = float(g(t))
-            if not np.isfinite(v[1]):
-                raise NumericalError(f"half-line solve blew up at t={t:.6g}.")
-        t = target
-        gf = GridFunction(v.copy(), h, v0.origin)
-        out.append((t, gf, gf.with_values(rhs_of(v))))
+    for t, v in _march(v, 0.0, t_targets, dt, stepper.step_explicit, hold_trace):
+        gf = GridFunction(v.copy(), v0.h, v0.origin)
+        out.append((t, gf, gf.with_values(stepper.rhs(v))))
     return out

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import GridFunction, assert_same_grid
+from .grids import GridFunction, assert_same_grid, level_crossings
 from .model import Problem
 from .solver import SolverConfig, Trajectory, discrete_rhs, solve
 
@@ -120,18 +120,8 @@ def total_mass(state: GridFunction) -> float:
 def sigma_crossings(state: GridFunction, sigma: float) -> tuple[np.ndarray, bool]:
     """Interpolated positions of the boundary of {u > sigma} in 1D, plus a
     grazing flag when a crossing cell is nearly flat (ill-conditioned)."""
-    if state.dim != 1:
-        raise ValueError("crossing positions are one-dimensional.")
-    u = state.values
-    x = state.axis(0)
-    s = u - sigma
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    grazing = bool(np.any(np.abs(u[idx + 1] - u[idx]) < GRAZING_SLOPE)) if idx.size else False
-    pos = x[idx] + state.h * (sigma - u[idx]) / (u[idx + 1] - u[idx])
-    exact = x[s == 0]
-    if exact.size:
-        pos = np.sort(np.concatenate([pos, exact]))
-    return pos, grazing
+    pos, rise = level_crossings(state, sigma)
+    return pos, bool(np.any(np.abs(rise) < GRAZING_SLOPE))
 
 
 def _interp_at(state: GridFunction, positions: np.ndarray) -> np.ndarray:
@@ -148,7 +138,6 @@ class EventDiagnostics:
     mass_before: float
     mass_after: float
     boundary_rhs_min: Optional[float]  # min post-treatment rhs on the new boundary
-    pre_rhs_min_on_boundary: Optional[float]
     grazing: bool
     dS_sign_next: Optional[int] = None
     dmass_sign_next: Optional[int] = None
@@ -230,10 +219,8 @@ def run_protocol(p: Problem, sched: TreatmentSchedule, cfg: SolverConfig) -> Pro
         crossings, grazing = sigma_crossings(post_u, sigma) if post_u.dim == 1 else (np.array([]), False)
         if post_u.dim == 1 and crossings.size:
             boundary_rhs_min = float(np.min(_interp_at(post_rhs, crossings)))
-            pre_rhs_min = float(np.min(_interp_at(pre.rhs, crossings)))
         else:
             boundary_rhs_min = None
-            pre_rhs_min = None
         events.append(
             EventDiagnostics(
                 t0=t_end,
@@ -243,7 +230,6 @@ def run_protocol(p: Problem, sched: TreatmentSchedule, cfg: SolverConfig) -> Pro
                 mass_before=total_mass(pre.u),
                 mass_after=total_mass(post_u),
                 boundary_rhs_min=boundary_rhs_min,
-                pre_rhs_min_on_boundary=pre_rhs_min,
                 grazing=grazing,
             )
         )

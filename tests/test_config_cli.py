@@ -33,11 +33,43 @@ def test_parse_minimal_config():
     assert setup.schedule is None
 
 
+PIECEWISE_REACTION = {
+    "kind": "piecewise-kpp", "rate_minus": 0.5, "rate_plus": 1.0, "theta": 0.3, "radius": 10.0,
+}
+
+# (block path, key, value): a misspelt key, and two keys the schema no longer has
+UNKNOWN_KEYS = [
+    (("problem",), "reation", {"kind": "logistic", "rate": 1.0}),
+    (("solver",), "boundary", "dirichlet-zero"),
+    (("problem", "reaction"), "s1", 0.9),
+]
+
+# (block, key, value) where a number or a list of numbers is expected
+BAD_VALUES = [
+    ("solver", "dt", "fast"),
+    ("analysis", "eps_list", ["a"]),
+    ("analysis", "eps_list", [True]),
+    ("analysis", "margin", "x"),
+    ("analysis", "speed_window", ["a", 1]),
+]
+
+
+def with_key(path: tuple[str, ...], key: str, value) -> dict:
+    """MINIMAL with the piecewise reaction, plus ``key: value`` in the block at ``path``."""
+    data = json.loads(json.dumps(MINIMAL))
+    data["problem"]["reaction"] = dict(PIECEWISE_REACTION)
+    block = data
+    for name in path:
+        block = block[name]
+    block[key] = value
+    return data
+
+
 def test_unknown_key_is_named():
-    bad = json.loads(json.dumps(MINIMAL))
-    bad["problem"]["reation"] = {"kind": "logistic", "rate": 1.0}
-    with pytest.raises(SchemaError, match="reation"):
-        parse_config(bad)
+    parse_config(with_key(("solver",), "h", 0.1))  # the base config is valid
+    for path, key, value in UNKNOWN_KEYS:
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            parse_config(with_key(path, key, value))
 
 
 def test_missing_required_key_is_named():
@@ -48,10 +80,9 @@ def test_missing_required_key_is_named():
 
 
 def test_bad_value_types_rejected():
-    bad = json.loads(json.dumps(MINIMAL))
-    bad["solver"]["dt"] = "fast"
-    with pytest.raises(SchemaError):
-        parse_config(bad)
+    for block, key, value in BAD_VALUES:
+        with pytest.raises(SchemaError, match=key):
+            parse_config(with_key((block,), key, value))
 
 
 def test_cli_run_writes_artifacts(tmp_path):
@@ -74,11 +105,11 @@ def test_cli_run_is_deterministic(tmp_path):
 
 
 def test_cli_schema_violation_exits_2(tmp_path, capsys):
-    bad = json.loads(json.dumps(MINIMAL))
-    bad["problem"]["reation"] = {"kind": "logistic"}
-    cfg = write_config(tmp_path, bad)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "reation" in capsys.readouterr().err
+    cases = UNKNOWN_KEYS + [((block,), key, value) for block, key, value in BAD_VALUES]
+    for i, (path, key, value) in enumerate(cases):
+        cfg = write_config(tmp_path, with_key(path, key, value), f"bad{i}.json")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, key
+        assert key in capsys.readouterr().err
 
 
 def test_cli_numerical_abort_exits_3(tmp_path):

@@ -230,6 +230,49 @@ def test_halfline_solver_blowup_guard():
     out = solve_linear_halfline(1.0, 1.0, v0, lambda t: 0.0, [0.5])
     assert out[0][1].values[0] == 0.0
     assert np.min(out[0][1].values) >= -1e-12
+    with pytest.raises(NumericalError, match="blew up"):
+        solve_linear_halfline(1.0, 1.0, v0, lambda t: math.nan, [0.5])
+
+
+def textbook_halfline(a, lam, v0, g, targets):
+    """Reference: the three-point stencil a(v[i+1] - 2v[i] + v[i-1])/h^2 + lam v[i]
+    marched by explicit Euler, with v[0] = g(t) after every step."""
+    h = v0.h
+    dt = 0.9 * h**2 / (2.0 * a)
+    if lam > 0:
+        dt = min(dt, 0.5 / lam)
+
+    def rhs(v):
+        out = np.zeros_like(v)
+        out[1:-1] = a * (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2 + lam * v[1:-1]
+        return out
+
+    v = v0.values.copy()
+    v[0] = g(0.0)
+    t = 0.0
+    out = []
+    for target in targets:
+        while t < target - 1e-12:
+            dtk = min(dt, target - t)
+            v = v + dtk * rhs(v)
+            t += dtk
+            v[0] = g(t)
+        t = target
+        out.append((v, rhs(v)))
+    return out
+
+
+@pytest.mark.parametrize("a, lam", [(1.5, 0.7), (1.0, 0.0)])
+def test_halfline_solver_matches_textbook_stencil(a, lam):
+    grid = Grid.halfline(10.0, 0.1)
+    x = grid.axis(0)
+    v0 = GridFunction(np.where((x >= 1) & (x <= 2), 1.0, 0.0), 0.1, (0.0,))
+    g = lambda t: 1.0 - math.exp(-t)
+    targets = [0.3, 1.0]
+    got = solve_linear_halfline(a, lam, v0, g, targets)
+    for (_, v, rhs), (v_ref, rhs_ref) in zip(got, textbook_halfline(a, lam, v0, g, targets)):
+        assert np.max(np.abs(v.values - v_ref)) <= 1e-12 * np.max(np.abs(v_ref))
+        assert np.array_equal(np.sign(rhs.values), np.sign(rhs_ref))
 
 
 def test_two_dimensional_heat_preserves_mass_and_range():
