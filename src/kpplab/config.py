@@ -115,11 +115,11 @@ def _parse_problem(block: dict) -> Problem:
         {"dimension", "half_width", "coefficient", "reaction", "initial"},
         "problem",
     )
-    dim = block.get("dimension", 1)
+    dim = _number(block.get("dimension", 1), "dimension", "problem")
     if dim not in (1, 2):
         raise SchemaError("problem.dimension must be 1 or 2.")
     return Problem(
-        dimension=dim,
+        dimension=int(dim),
         half_width=_number(_require(block, "half_width", "problem"), "half_width", "problem"),
         coefficient=_parse_coefficient(_require(block, "coefficient", "problem")),
         reaction=_parse_reaction(_require(block, "reaction", "problem")),
@@ -141,15 +141,15 @@ def _parse_solver(block: dict) -> tuple[SolverConfig, bool]:
     }
     _check_keys(block, allowed, "solver")
     dt = block.get("dt", "auto")
-    if not (dt == "auto" or isinstance(dt, (int, float))):
-        raise SchemaError("solver.dt must be a number or 'auto'.")
+    if dt != "auto":
+        dt = _number(dt, "dt", "solver")
     validate = block.get("validate", True)
     if not isinstance(validate, bool):
         raise SchemaError("solver.validate must be a boolean.")
     kwargs = dict(
         h=_number(_require(block, "h", "solver"), "h", "solver"),
         t_final=_number(_require(block, "t_final", "solver"), "t_final", "solver"),
-        dt=dt if dt == "auto" else float(dt),
+        dt=dt,
         scheme=block.get("scheme", "explicit-euler"),
     )
     if "snapshot_every" in block:
@@ -210,7 +210,9 @@ def _parse_tumor(block: dict) -> TreatmentSchedule:
         raise SchemaError("tumor.events must be a list of [time, beta] pairs.")
     try:
         return TreatmentSchedule(
-            events=tuple((float(t), float(b)) for t, b in events),
+            events=tuple(
+                (_number(t, "events", "tumor"), _number(b, "events", "tumor")) for t, b in events
+            ),
             sigma_img=_number(_require(block, "sigma_img", "tumor"), "sigma_img", "tumor"),
         )
     except ValueError as exc:

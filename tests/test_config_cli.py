@@ -44,9 +44,14 @@ UNKNOWN_KEYS = [
     (("problem", "reaction"), "s1", 0.9),
 ]
 
-# (block, key, value) where a number or a list of numbers is expected
+# (block, key, value) where a number or a list of numbers is expected; JSON
+# true is not the number 1
 BAD_VALUES = [
     ("solver", "dt", "fast"),
+    ("solver", "dt", True),
+    ("problem", "dimension", True),
+    ("tumor", "events", [[True, 0.5]]),
+    ("tumor", "events", [[4.0, True]]),
     ("analysis", "eps_list", ["a"]),
     ("analysis", "eps_list", [True]),
     ("analysis", "margin", "x"),
@@ -55,9 +60,11 @@ BAD_VALUES = [
 
 
 def with_key(path: tuple[str, ...], key: str, value) -> dict:
-    """MINIMAL with the piecewise reaction, plus ``key: value`` in the block at ``path``."""
+    """MINIMAL with the piecewise reaction and a tumor block, plus ``key: value``
+    in the block at ``path``."""
     data = json.loads(json.dumps(MINIMAL))
     data["problem"]["reaction"] = dict(PIECEWISE_REACTION)
+    data["tumor"] = {"events": [[4.0, 0.5]], "sigma_img": 0.3}
     block = data
     for name in path:
         block = block[name]
