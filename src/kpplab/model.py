@@ -153,26 +153,30 @@ class Reaction:
     def blend_weight(self, x) -> np.ndarray:
         return smoothstep((np.asarray(x, dtype=float) + self.radius) / (2.0 * self.radius))
 
-    def bind(self, points) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """f(x, .) at fixed points as a function of u alone; None for the zero kind.
+    def bind(self, points) -> Optional[Callable[..., np.ndarray]]:
+        """f(x, .) at fixed points as a function ``f(u, out=None)`` of u alone;
+        None for the zero kind.
 
         The x-dependent factors are computed once, so a time march evaluates
-        only the u-dependent part at each step. This is the one place that
-        knows the formula of each kind.
+        only the u-dependent part at each step. With ``out`` (an array of the
+        points' shape) the result is written there and returned. This is the
+        one place that knows the formula of each kind.
         """
         if self.kind == "zero":
             return None
         if self.kind == "logistic":
             rate = self.rate
-            return lambda u: rate * u * (1.0 - u)
+            return lambda u, out=None: np.multiply(np.multiply(rate, u, out=out), 1.0 - u, out=out)
         x = np.asarray(_first_coord(points), dtype=float)
         if self.kind == "separable":
             rx = np.asarray(self.r_func(x), dtype=float)
-            return lambda u: rx * np.asarray(self.g_func(u), dtype=float)
+            return lambda u, out=None: np.multiply(
+                rx, np.asarray(self.g_func(u), dtype=float), out=out
+            )
         if self.kind == "piecewise-kpp":
             w = self.blend_weight(x)
-            return lambda u: (
-                w * self.tent(u, self.rate_plus) + (1.0 - w) * self.tent(u, self.rate_minus)
+            return lambda u, out=None: np.add(
+                w * self.tent(u, self.rate_plus), (1.0 - w) * self.tent(u, self.rate_minus), out=out
             )
         raise ValueError(f"unknown reaction kind {self.kind!r}.")
 

@@ -1,9 +1,10 @@
 """Time integration of the reaction-diffusion problem on a truncated grid.
 
 The reference scheme is explicit Euler with a divergence-form flux using
-face-centered coefficients; under the CFL restriction the update is monotone,
-so discrete comparison and maximum principles hold. An IMEX variant (implicit
-diffusion via a banded Cholesky solve, 1D) is available for stiff sweeps.
+face-centered coefficients; under dt*(2*dim*sup a/h^2 + L) <= 1 (L the
+reaction's Lipschitz bound) the update is monotone, so discrete comparison
+and maximum principles hold. An IMEX variant (implicit diffusion via a banded
+Cholesky solve, 1D; monotone under dt*L <= 1) is available for stiff sweeps.
 Boundary nodes are held fixed (Dirichlet truncation; zero for decaying data).
 The whole-space solve, the fundamental solutions and the half-line solve all
 step one stencil through one march loop.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -94,18 +96,21 @@ class Trajectory:
 
 
 class _Stepper:
-    """Precomputed faces and reaction closure for one equation on one grid."""
+    """Precomputed faces, reaction closure and divergence routine for one
+    equation on one grid."""
 
     def __init__(self, coeff: CoefficientField, reaction: Reaction, grid: Grid):
         self.reaction = reaction
         self.grid = grid
         self.h = grid.h
         self.inv_h2 = 1.0 / grid.h**2
+        self.interior = (slice(1, -1),) * grid.dim
         if grid.dim == 1:
             x = grid.axis(0)
             self.faces = coeff.evaluate(0.5 * (x[:-1] + x[1:]))
-            pts = x[1:-1]
             self.a_max = float(np.max(self.faces))
+            self.f_interior = reaction.bind(x[1:-1])
+            self._div = _div_1d(self.faces, self.inv_h2, self.f_interior)
         else:
             x, y = grid.axis(0), grid.axis(1)
             xf = 0.5 * (x[:-1] + x[1:])
@@ -114,52 +119,48 @@ class _Stepper:
             XFy, YFy = np.meshgrid(x, yf, indexing="ij")
             self.faces_x = coeff.evaluate((XFx, YFx))
             self.faces_y = coeff.evaluate((XFy, YFy))
-            X, Y = np.meshgrid(x[1:-1], y[1:-1], indexing="ij")
-            pts = (X, Y)
             self.a_max = float(max(np.max(self.faces_x), np.max(self.faces_y)))
-        self.f_interior = reaction.bind(pts)
+            self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y[1:-1], indexing="ij"))
+            self._div = _div_2d(self.faces_x, self.faces_y, self.inv_h2, self.f_interior)
         self._chol = None
         self._chol_dt = None
+
+    @cached_property
+    def lipschitz(self) -> float:
+        return self.reaction.lipschitz_bound()
 
     def stability_bound(self) -> float:
         return self.h**2 / (2.0 * self.grid.dim * self.a_max)
 
+    def monotone_dt(self, explicit: bool = True) -> float:
+        """Largest dt for which one step is a monotone map of [0,1]-valued
+        states: dt*(2*dim*sup a/h^2 + L) <= 1 for the explicit scheme and
+        dt*L <= 1 with implicit diffusion, L the reaction's Lipschitz bound."""
+        if explicit:
+            s = self.stability_bound()
+            return s / (1.0 + self.lipschitz * s)
+        return 1.0 / self.lipschitz if self.lipschitz > 0 else math.inf
+
     def auto_dt(self) -> float:
         dt = 0.9 * self.stability_bound()
-        l_lip = self.reaction.lipschitz_bound()
-        if l_lip > 0:
-            dt = min(dt, 0.5 / l_lip)
-        return dt
-
-    def rhs_interior(self, u: np.ndarray) -> np.ndarray:
-        if self.grid.dim == 1:
-            flux = self.faces * (u[1:] - u[:-1])
-            div = (flux[1:] - flux[:-1]) * self.inv_h2
-            inner = u[1:-1]
-        else:
-            fx = self.faces_x * (u[1:, :] - u[:-1, :])
-            fy = self.faces_y * (u[:, 1:] - u[:, :-1])
-            div = ((fx[1:, :] - fx[:-1, :])[:, 1:-1] + (fy[:, 1:] - fy[:, :-1])[1:-1, :]) * self.inv_h2
-            inner = u[1:-1, 1:-1]
-        if self.f_interior is not None:
-            div = div + self.f_interior(inner)
-        return div
+        if self.lipschitz > 0:
+            dt = min(dt, 0.5 / self.lipschitz)
+        return min(dt, self.monotone_dt())
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        if self.grid.dim == 1:
-            out[1:-1] = self.rhs_interior(u)
-        else:
-            out[1:-1, 1:-1] = self.rhs_interior(u)
+        out[self.interior] = self._div(u)
         return out
 
     def step_explicit(self, u: np.ndarray, dt: float) -> np.ndarray:
-        new = u.copy()
-        if self.grid.dim == 1:
-            new[1:-1] += dt * self.rhs_interior(u)
-        else:
-            new[1:-1, 1:-1] += dt * self.rhs_interior(u)
-        return new
+        """Advance ``u`` by one explicit Euler step in place and return it.
+
+        The whole divergence is computed before the interior is written, and
+        the boundary nodes are not touched."""
+        inner = u[self.interior]
+        div = self._div(u)
+        np.add(inner, np.multiply(div, dt, out=div), out=inner)
+        return u
 
     def step_imex(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Implicit diffusion, explicit reaction; 1D banded Cholesky solve."""
@@ -184,6 +185,75 @@ class _Stepper:
         return new
 
 
+# The divergence routines below write div_h(a grad_h u) + f(x,u) at the
+# interior nodes into a buffer they own and return it, so each call
+# overwrites what the previous one returned. They use the same ufuncs in the
+# same order as the allocating expressions flux = a*(u[1:] - u[:-1]),
+# (flux[1:] - flux[:-1])*inv_h2 + f(u[1:-1]), so every bit matches. They are
+# closures over their buffers, not methods: a bound method stored on the
+# stepper would make a reference cycle and keep the buffers alive until the
+# cyclic garbage collector runs.
+
+
+def _div_1d(faces: np.ndarray, inv_h2: float, f) -> Callable[[np.ndarray], np.ndarray]:
+    a = _face_factor(faces)
+    flux = np.empty(faces.size)
+    out = np.empty(faces.size - 1)
+    scratch = flux[:-1]
+
+    def div(u: np.ndarray) -> np.ndarray:
+        np.subtract(u[1:], u[:-1], out=flux)
+        if a is not None:
+            np.multiply(flux, a, out=flux)
+        np.subtract(flux[1:], flux[:-1], out=out)
+        np.multiply(out, inv_h2, out=out)
+        if f is not None:
+            np.add(out, f(u[1:-1], out=scratch), out=out)
+        return out
+
+    return div
+
+
+def _div_2d(
+    faces_x: np.ndarray, faces_y: np.ndarray, inv_h2: float, f
+) -> Callable[[np.ndarray], np.ndarray]:
+    # only the fluxes through faces of interior rows and columns enter
+    ax = _face_factor(faces_x[:, 1:-1])
+    ay = _face_factor(faces_y[1:-1, :])
+    nx, ny = faces_y.shape[0], faces_x.shape[1]
+    fx = np.empty((nx - 1, ny - 2))
+    fy = np.empty((nx - 2, ny - 1))
+    out = np.empty((nx - 2, ny - 2))
+    scratch = fx[:-1]  # free once fx has been differenced
+
+    def div(u: np.ndarray) -> np.ndarray:
+        np.subtract(u[1:, 1:-1], u[:-1, 1:-1], out=fx)
+        if ax is not None:
+            np.multiply(fx, ax, out=fx)
+        np.subtract(u[1:-1, 1:], u[1:-1, :-1], out=fy)
+        if ay is not None:
+            np.multiply(fy, ay, out=fy)
+        np.subtract(fx[1:], fx[:-1], out=out)
+        np.subtract(fy[:, 1:], fy[:, :-1], out=scratch)
+        np.add(out, scratch, out=out)
+        np.multiply(out, inv_h2, out=out)
+        if f is not None:
+            np.add(out, f(u[1:-1, 1:-1], out=scratch), out=out)
+        return out
+
+    return div
+
+
+def _face_factor(faces: np.ndarray):
+    """What to multiply gradients by: the faces' common value when they are
+    all equal (c*d has the bits of c_arr*d), None when that value is 1.0,
+    else the faces themselves."""
+    a = float(faces.flat[0])
+    if not np.all(faces == a):
+        return faces
+    return None if a == 1.0 else a
+
+
 def _check_solution_range(values: np.ndarray, t: float) -> None:
     mn = float(np.min(values))
     mx = float(np.max(values))
@@ -199,10 +269,13 @@ def _resolve_dt(stepper: _Stepper, cfg: SolverConfig) -> float:
     if cfg.dt == "auto":
         return stepper.auto_dt()
     dt = float(cfg.dt)
-    if cfg.scheme == "explicit-euler" and dt > stepper.stability_bound() * (1 + 1e-9):
+    explicit = cfg.scheme == "explicit-euler"
+    bound = stepper.monotone_dt(explicit)
+    if dt > bound * (1 + 1e-9):
+        rule = "dt*(2*dim*sup a/h^2 + L) <= 1" if explicit else "dt*L <= 1"
         raise StabilityError(
-            f"dt={dt:.3e} exceeds the explicit stability bound "
-            f"{stepper.stability_bound():.3e} (h^2/(2*dim*sup a))."
+            f"dt={dt:.3e} exceeds the monotone bound {bound:.3e} "
+            f"({rule}, L the reaction's Lipschitz bound)."
         )
     return dt
 
@@ -215,10 +288,13 @@ def _march(
     advance: Callable[[np.ndarray, float], np.ndarray],
     after_step: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Step ``state`` from ``t`` through the sorted targets, yielding (t, state)
-    on reaching each one. The last step before a target is shortened to land
-    on it exactly; ``after_step(t, state)`` runs after every step (boundary
-    traces, blow-up guards)."""
+    """Step a copy of ``state`` from ``t`` through the sorted targets, yielding
+    (t, state) on reaching each one. The last step before a target is
+    shortened to land on it exactly; ``after_step(t, state)`` runs after every
+    step (boundary traces, blow-up guards). ``advance`` may update the state
+    in place, so the yielded array changes with the next step: callers copy
+    what they keep."""
+    state = state.copy()
     for target in targets:
         while t < target - 1e-12:
             dtk = min(dt, target - t)
@@ -241,10 +317,8 @@ def step(state: GridFunction, t: float, p: Problem, cfg: SolverConfig) -> GridFu
     _check_solution_range(state.values, t)
     stepper = _Stepper(p.coefficient, p.reaction, state.grid)
     dt = _resolve_dt(stepper, cfg)
-    if cfg.scheme == "explicit-euler":
-        new = stepper.step_explicit(state.values, dt)
-    else:
-        new = stepper.step_imex(state.values, dt)
+    advance = stepper.step_explicit if cfg.scheme == "explicit-euler" else stepper.step_imex
+    new = advance(state.values.copy(), dt)
     _check_solution_range(new, t + dt)
     return state.with_values(new)
 
@@ -285,7 +359,7 @@ def solve(
     else:
         if initial_state.grid.npoints != grid.npoints:
             raise ValueError("initial_state does not match the solver grid.")
-        state = initial_state.values.copy()
+        state = initial_state.values
     stepper = _Stepper(p.coefficient, p.reaction, grid)
     dt = _resolve_dt(stepper, cfg)
 

@@ -127,6 +127,10 @@ def test_cli_numerical_abort_exits_3(tmp_path):
     cfg = write_config(tmp_path, small)
     with pytest.warns(RuntimeWarning):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    # a user dt past the monotone bound dt*(2/h^2 + L) <= 1 is a numerical abort too
+    small["solver"] = {"h": 0.1, "t_final": 1.0, "dt": 0.005}
+    cfg = write_config(tmp_path, small)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
 def test_cli_tumor_block_adds_protocol(tmp_path):

@@ -152,8 +152,17 @@ def test_rhs_field_matches_explicit_update():
 
 def test_stability_bound_enforced():
     p = homogeneous_kpp(half_width=10.0)
-    with pytest.raises(StabilityError):
-        solve(p, SolverConfig(h=0.1, t_final=1.0, dt=0.01))  # bound is h^2/2 = 0.005
+    # explicit: dt*(2/h^2 + L) <= 1, so 1/201 at h=0.1, rate 1; IMEX: dt*L <= 1
+    too_large = [
+        SolverConfig(h=0.1, t_final=1.0, dt=0.01),
+        SolverConfig(h=0.1, t_final=1.0, dt=0.005),
+        SolverConfig(h=0.1, t_final=1.0, dt=1.01, scheme="imex-diffusion-implicit"),
+    ]
+    for cfg in too_large:
+        with pytest.raises(StabilityError):
+            solve(p, cfg)
+    solve(p, SolverConfig(h=0.1, t_final=0.01, dt=1 / 201))
+    solve(p, SolverConfig(h=0.1, t_final=0.01, dt=1.0, scheme="imex-diffusion-implicit"))
 
 
 def test_nan_detection_aborts():
