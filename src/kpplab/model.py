@@ -185,8 +185,10 @@ class Reaction:
         f = self.bind(points)
         return np.zeros_like(u) if f is None else f(u)
 
-    def lipschitz_bound(self, n_samples: int = 256) -> float:
-        """Upper bound on |df/du|, uniform in x (sampled for separable kinds)."""
+    def lipschitz_bound(self, xs=None, n_samples: int = 256) -> float:
+        """Upper bound on |df/du|, uniform in x. For separable kinds it is
+        sampled: g' on n_samples points of [0,1], and r at the first
+        coordinates ``xs`` (default n_samples points of [-100, 100])."""
         if self.kind == "zero":
             return 0.0
         if self.kind == "logistic":
@@ -198,7 +200,8 @@ class Reaction:
         ss = np.linspace(0.0, 1.0, n_samples)
         g = np.asarray(self.g_func(ss), dtype=float)
         slope = np.max(np.abs(np.diff(g))) / (ss[1] - ss[0])
-        xs = np.linspace(-100.0, 100.0, n_samples)
+        if xs is None:
+            xs = np.linspace(-100.0, 100.0, n_samples)
         rmax = float(np.max(np.abs(np.asarray(self.r_func(xs), dtype=float))))
         return float(slope * rmax)
 

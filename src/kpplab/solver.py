@@ -127,7 +127,8 @@ class _Stepper:
 
     @cached_property
     def lipschitz(self) -> float:
-        return self.reaction.lipschitz_bound()
+        # r(x) of a separable reaction is taken at the nodes the scheme uses
+        return self.reaction.lipschitz_bound(self.grid.axis(0)[1:-1])
 
     def stability_bound(self) -> float:
         return self.h**2 / (2.0 * self.grid.dim * self.a_max)
@@ -244,14 +245,10 @@ def _div_2d(
     return div
 
 
-def _face_factor(faces: np.ndarray):
-    """What to multiply gradients by: the faces' common value when they are
-    all equal (c*d has the bits of c_arr*d), None when that value is 1.0,
-    else the faces themselves."""
-    a = float(faces.flat[0])
-    if not np.all(faces == a):
-        return faces
-    return None if a == 1.0 else a
+def _face_factor(faces: np.ndarray) -> Optional[np.ndarray]:
+    """What to multiply gradients by: None when every face is 1.0 (the
+    product would change no bit), else the faces themselves."""
+    return None if np.all(faces == 1.0) else faces
 
 
 def _check_solution_range(values: np.ndarray, t: float) -> None:

@@ -148,6 +148,7 @@ def test_in_place_kernel_matches_allocating_reference(
 def test_stepper_is_freed_without_the_cycle_collector():
     # its buffers are as large as the grid; a reference cycle would keep them
     # alive after the solve that made them returns
+    was_enabled = gc.isenabled()
     gc.disable()
     try:
         for dim in (1, 2):
@@ -158,7 +159,8 @@ def test_stepper_is_freed_without_the_cycle_collector():
             del stepper
             assert ref() is None
     finally:
-        gc.enable()
+        if was_enabled:
+            gc.enable()
 
 
 def test_auto_dt_of_pinned_configs_is_unchanged():
@@ -173,6 +175,20 @@ def test_auto_dt_of_pinned_configs_is_unchanged():
         if lip > 0:
             want = min(want, 0.5 / lip)
         assert stepper.auto_dt() == want, path.name
+
+
+def test_monotone_bound_sees_the_reaction_on_the_whole_grid():
+    # r is 10 only beyond |x| = 150, outside any fixed sampling window
+    reaction = Reaction.separable(
+        lambda x: np.where(np.abs(x) > 150.0, 10.0, 1.0), lambda u: u * (1.0 - u)
+    )
+    h = 0.5
+    stepper = _Stepper(CoefficientField.constant(1.0), reaction, Grid.centered(200.0, h, 1))
+    # sup |r g'| is 10; g' is sampled by secants, which read 1 - 1/255 here,
+    # while a [-100, 100] window for r would give about 1
+    assert stepper.lipschitz > 9.9
+    for dt in (stepper.auto_dt(), stepper.monotone_dt()):
+        assert dt * (2.0 / h**2 + 9.9) <= 1.0
 
 
 def test_step_leaves_its_input_unchanged():
