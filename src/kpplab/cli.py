@@ -198,12 +198,17 @@ def _axis_column(dotted: str) -> str:
     return last if not last.lstrip("-").isdigit() else dotted.replace(".", "_")
 
 
-def _sweep_worker(payload) -> dict:
-    data, assignment, outdir = payload
+def _point_setup(data: dict, assignment) -> RunSetup:
+    """The run setup of one sweep point: the base config with its axis values."""
     data = copy.deepcopy(data)
     for dotted, value in assignment:
         _set_path(data, dotted, value)
-    setup = parse_config(data)
+    return parse_config(data)
+
+
+def _sweep_worker(payload) -> dict:
+    data, assignment, outdir = payload
+    setup = _point_setup(data, assignment)
     tag = "_".join(f"{_axis_column(k)}={v:g}" for k, v in assignment) or "single"
     metrics = _run_pipeline(setup, Path(outdir) / tag)
     row = {_axis_column(k): v for k, v in assignment}
@@ -228,16 +233,14 @@ def cmd_sweep(args) -> int:
                 if not isinstance(parsed[-1], (int, float)):
                     raise SchemaError(f"axis value '{tok}' is not a number.")
             axes.append((dotted, parsed))
-        parse_config(copy.deepcopy(data))  # validate the base config up front
-        for dotted, _vals in axes:
-            _set_path(copy.deepcopy(data), dotted, _vals[0])
-    except SchemaError as exc:
+        assignments: list[tuple[tuple[str, float], ...]] = [()]
+        for dotted, values in axes:
+            assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
+        for assignment in assignments:  # every point is checked before any runs
+            _point_setup(data, assignment)
+    except (SchemaError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    assignments: list[tuple[tuple[str, float], ...]] = [()]
-    for dotted, values in axes:
-        assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

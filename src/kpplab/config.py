@@ -1,12 +1,16 @@
 """Declarative run configuration: JSON with nested blocks, schema-validated.
 
-Unknown keys are rejected with the offending key named; see README for the
-full schema and pinned examples under configs/.
+A kind block's keys are the parameters of the factory that its ``kind``
+names in :data:`KINDS`; every other block's keys and defaults are the fields
+of the dataclass it builds. One walker checks and builds every block; see
+README for the schema and configs/ for pinned examples.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from inspect import signature
 from pathlib import Path
 from typing import Optional
 
@@ -19,157 +23,6 @@ class SchemaError(ValueError):
     """Configuration violates the schema."""
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise SchemaError(f"missing required key '{key}' in block '{where}'.")
-    return block[key]
-
-
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise SchemaError(f"unknown key '{key}' in block '{where}'.")
-
-
-def _number(value, key: str, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"key '{key}' in block '{where}' must be a number.")
-    return float(value)
-
-
-def _numbers(value, key: str, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(f"key '{key}' in block '{where}' must be a list of numbers.")
-    return tuple(_number(v, key, where) for v in value)
-
-
-def _parse_coefficient(block: dict) -> CoefficientField:
-    kind = _require(block, "kind", "problem.coefficient")
-    if kind == "constant":
-        _check_keys(block, {"kind", "value"}, "problem.coefficient")
-        return CoefficientField.constant(_number(_require(block, "value", "problem.coefficient"), "value", "problem.coefficient"))
-    if kind == "sine":
-        _check_keys(block, {"kind", "base", "amplitude", "wavelength"}, "problem.coefficient")
-        return CoefficientField.sine(
-            _number(_require(block, "base", "problem.coefficient"), "base", "problem.coefficient"),
-            _number(_require(block, "amplitude", "problem.coefficient"), "amplitude", "problem.coefficient"),
-            _number(_require(block, "wavelength", "problem.coefficient"), "wavelength", "problem.coefficient"),
-        )
-    if kind == "piecewise":
-        _check_keys(block, {"kind", "a_minus", "a_plus", "radius"}, "problem.coefficient")
-        return CoefficientField.piecewise(
-            _number(_require(block, "a_minus", "problem.coefficient"), "a_minus", "problem.coefficient"),
-            _number(_require(block, "a_plus", "problem.coefficient"), "a_plus", "problem.coefficient"),
-            _number(_require(block, "radius", "problem.coefficient"), "radius", "problem.coefficient"),
-        )
-    raise SchemaError(f"unknown coefficient kind '{kind}'.")
-
-
-def _parse_reaction(block: dict) -> Reaction:
-    kind = _require(block, "kind", "problem.reaction")
-    if kind == "logistic":
-        _check_keys(block, {"kind", "rate"}, "problem.reaction")
-        return Reaction.logistic(_number(_require(block, "rate", "problem.reaction"), "rate", "problem.reaction"))
-    if kind == "zero":
-        _check_keys(block, {"kind"}, "problem.reaction")
-        return Reaction.zero()
-    if kind == "piecewise-kpp":
-        _check_keys(
-            block, {"kind", "rate_minus", "rate_plus", "theta", "radius"}, "problem.reaction"
-        )
-        return Reaction.piecewise_kpp(
-            _number(_require(block, "rate_minus", "problem.reaction"), "rate_minus", "problem.reaction"),
-            _number(_require(block, "rate_plus", "problem.reaction"), "rate_plus", "problem.reaction"),
-            _number(_require(block, "theta", "problem.reaction"), "theta", "problem.reaction"),
-            _number(_require(block, "radius", "problem.reaction"), "radius", "problem.reaction"),
-        )
-    raise SchemaError(f"unknown reaction kind '{kind}'.")
-
-
-def _parse_initial(block: dict) -> InitialCondition:
-    kind = _require(block, "kind", "problem.initial")
-    if kind == "gaussian":
-        _check_keys(block, {"kind", "amplitude", "decay"}, "problem.initial")
-        return InitialCondition.gaussian(
-            _number(_require(block, "amplitude", "problem.initial"), "amplitude", "problem.initial"),
-            _number(_require(block, "decay", "problem.initial"), "decay", "problem.initial"),
-        )
-    if kind == "exponential":
-        _check_keys(block, {"kind", "amplitude", "decay"}, "problem.initial")
-        return InitialCondition.exponential(
-            _number(_require(block, "amplitude", "problem.initial"), "amplitude", "problem.initial"),
-            _number(_require(block, "decay", "problem.initial"), "decay", "problem.initial"),
-        )
-    if kind == "bump":
-        _check_keys(block, {"kind", "radius", "height"}, "problem.initial")
-        return InitialCondition.bump(
-            _number(_require(block, "radius", "problem.initial"), "radius", "problem.initial"),
-            _number(_require(block, "height", "problem.initial"), "height", "problem.initial"),
-        )
-    raise SchemaError(f"unknown initial-condition kind '{kind}'.")
-
-
-def _parse_problem(block: dict) -> Problem:
-    _check_keys(
-        block,
-        {"dimension", "half_width", "coefficient", "reaction", "initial"},
-        "problem",
-    )
-    dim = _number(block.get("dimension", 1), "dimension", "problem")
-    if dim not in (1, 2):
-        raise SchemaError("problem.dimension must be 1 or 2.")
-    return Problem(
-        dimension=int(dim),
-        half_width=_number(_require(block, "half_width", "problem"), "half_width", "problem"),
-        coefficient=_parse_coefficient(_require(block, "coefficient", "problem")),
-        reaction=_parse_reaction(_require(block, "reaction", "problem")),
-        initial=_parse_initial(_require(block, "initial", "problem")),
-    )
-
-
-def _parse_solver(block: dict) -> tuple[SolverConfig, bool]:
-    allowed = {
-        "h",
-        "dt",
-        "scheme",
-        "t_final",
-        "snapshot_every",
-        "snapshot_times",
-        "boundary_leak_tolerance",
-        "hard_leak_threshold",
-        "validate",
-    }
-    _check_keys(block, allowed, "solver")
-    dt = block.get("dt", "auto")
-    if dt != "auto":
-        dt = _number(dt, "dt", "solver")
-    validate = block.get("validate", True)
-    if not isinstance(validate, bool):
-        raise SchemaError("solver.validate must be a boolean.")
-    kwargs = dict(
-        h=_number(_require(block, "h", "solver"), "h", "solver"),
-        t_final=_number(_require(block, "t_final", "solver"), "t_final", "solver"),
-        dt=dt,
-        scheme=block.get("scheme", "explicit-euler"),
-    )
-    if "snapshot_every" in block:
-        kwargs["snapshot_every"] = _number(block["snapshot_every"], "snapshot_every", "solver")
-    if "snapshot_times" in block:
-        kwargs["snapshot_times"] = _numbers(block["snapshot_times"], "snapshot_times", "solver")
-    if "boundary_leak_tolerance" in block:
-        kwargs["boundary_leak_tolerance"] = _number(
-            block["boundary_leak_tolerance"], "boundary_leak_tolerance", "solver"
-        )
-    if "hard_leak_threshold" in block:
-        kwargs["hard_leak_threshold"] = _number(
-            block["hard_leak_threshold"], "hard_leak_threshold", "solver"
-        )
-    try:
-        return SolverConfig(**kwargs), validate
-    except ValueError as exc:
-        raise SchemaError(f"solver block invalid: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class AnalysisOptions:
     eps_list: tuple[float, ...] = ()
@@ -179,44 +32,11 @@ class AnalysisOptions:
     margin: float = 1.0
     side: str = "right"
 
-
-def _parse_analysis(block: dict) -> AnalysisOptions:
-    allowed = {"eps_list", "levels", "speed_window", "tau_floor", "margin", "side"}
-    _check_keys(block, allowed, "analysis")
-    window = block.get("speed_window")
-    if window is not None:
-        window = _numbers(window, "speed_window", "analysis")
-        if len(window) != 2:
-            raise SchemaError("analysis.speed_window must be [t_start, t_end].")
-    side = block.get("side", "right")
-    if side not in ("left", "right"):
-        raise SchemaError("analysis.side must be 'left' or 'right'.")
-    return AnalysisOptions(
-        eps_list=_numbers(block.get("eps_list", []), "eps_list", "analysis"),
-        levels=_numbers(block.get("levels", []), "levels", "analysis"),
-        speed_window=window,
-        tau_floor=_number(block["tau_floor"], "tau_floor", "analysis") if "tau_floor" in block else None,
-        margin=_number(block.get("margin", 1.0), "margin", "analysis"),
-        side=side,
-    )
-
-
-def _parse_tumor(block: dict) -> TreatmentSchedule:
-    _check_keys(block, {"events", "sigma_img"}, "tumor")
-    events = _require(block, "events", "tumor")
-    if not isinstance(events, list) or not all(
-        isinstance(ev, list) and len(ev) == 2 for ev in events
-    ):
-        raise SchemaError("tumor.events must be a list of [time, beta] pairs.")
-    try:
-        return TreatmentSchedule(
-            events=tuple(
-                (_number(t, "events", "tumor"), _number(b, "events", "tumor")) for t, b in events
-            ),
-            sigma_img=_number(_require(block, "sigma_img", "tumor"), "sigma_img", "tumor"),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"tumor block invalid: {exc}") from exc
+    def __post_init__(self) -> None:
+        if self.speed_window is not None and len(self.speed_window) != 2:
+            raise ValueError("speed_window must be [t_start, t_end].")
+        if self.side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'.")
 
 
 @dataclass
@@ -228,32 +48,143 @@ class RunSetup:
     schedule: Optional[TreatmentSchedule] = None
 
 
-def parse_config(data: dict) -> RunSetup:
-    if not isinstance(data, dict):
-        raise SchemaError("top-level config must be an object.")
-    _check_keys(data, {"problem", "solver", "analysis", "tumor"}, "top level")
-    try:
-        problem = _parse_problem(_require(data, "problem", "top level"))
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(f"problem block invalid: {exc}") from exc
-    solver, validate = _parse_solver(_require(data, "solver", "top level"))
-    analysis = _parse_analysis(data.get("analysis", {}))
-    schedule = _parse_tumor(data["tumor"]) if "tumor" in data else None
-    return RunSetup(
-        problem=problem,
-        solver=solver,
-        validate=validate,
-        analysis=analysis,
-        schedule=schedule,
+# block path -> {kind: factory}; each kind names its factory, with "-" for "_",
+# and a kind's keys are its factory's parameters
+KINDS = {
+    path: {kind: getattr(cls, kind.replace("-", "_")) for kind in kinds.split()}
+    for path, cls, kinds in (
+        ("problem.coefficient", CoefficientField, "constant sine piecewise"),
+        ("problem.reaction", Reaction, "logistic zero piecewise-kpp"),
+        ("problem.initial", InitialCondition, "gaussian exponential bump"),
     )
+}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _at(path: str) -> str:
+    where, _, key = path.rpartition(".")
+    return f"key '{key}' in block '{where or 'top level'}'"
+
+
+def _number(value, path: str) -> float:
+    # NaN, the infinities and integers beyond float range fail the abs test
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise SchemaError(f"{_at(path)} must be a finite number.")
+    return float(value)
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{_at(path)} must be a list of numbers.")
+    return tuple(_number(v, path) for v in value)
+
+
+def _integer(value, path: str) -> int:
+    number = _number(value, path)
+    if not number.is_integer():
+        raise SchemaError(f"{_at(path)} must be an integer.")
+    return int(number)
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{_at(path)} must be true or false.")
+    return value
+
+
+def _events(value, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2 for e in value):
+        raise SchemaError(f"{_at(path)} must be a list of [time, beta] pairs.")
+    return tuple((_number(t, path), _number(beta, path)) for t, beta in value)
+
+
+def _object(block, path: str) -> dict:
+    if not isinstance(block, dict):
+        raise SchemaError(f"{_at(path) if path else 'the top level'} must be an object.")
+    return block
+
+
+def _walk(block, path: str, params: dict[str, bool]) -> dict:
+    """The converted values of the object ``block`` at ``path``; ``params``
+    maps each allowed key to whether it is required."""
+    for key in _object(block, path):
+        if key not in params:
+            raise SchemaError(f"unknown {_at(_join(path, key))}.")
+    for key, required in params.items():
+        if required and key not in block:
+            raise SchemaError(f"missing required {_at(_join(path, key))}.")
+    return {k: _CONVERT.get(_join(path, k), _number)(v, _join(path, k)) for k, v in block.items()}
+
+
+def _build(target, args: dict, path: str):
+    """``target(**args)``, with the ValueError of a failed check as a SchemaError."""
+    try:
+        return target(**args)
+    except ValueError as exc:
+        raise SchemaError(f"block '{path}' invalid: {exc}") from exc
+
+
+def _kind_block(block, path: str):
+    kinds = KINDS[path]
+    kind = _object(block, path).get("kind")  # None when missing
+    factory = kinds.get(kind) if isinstance(kind, str) else None
+    if factory is None:
+        raise SchemaError(f"{_at(path + '.kind')} must be one of {list(kinds)}, not {kind!r}.")
+    params = {p.name: p.default is p.empty for p in signature(factory).parameters.values()}
+    rest = {key: value for key, value in block.items() if key != "kind"}
+    return _build(factory, _walk(rest, path, params), path)
+
+
+def _fields(cls) -> dict[str, bool]:
+    """Field name -> required, for the dataclass ``cls``."""
+    return {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+
+
+def _fixed(cls, **defaults):
+    """Converter of a block whose keys are the fields of the dataclass ``cls``;
+    ``defaults`` fills fields that the dataclass leaves without one."""
+    params = {**_fields(cls), **dict.fromkeys(defaults, False)}
+    return lambda block, path: _build(cls, {**defaults, **_walk(block, path, params)}, path)
+
+
+# dotted key path -> converter(value, path), for every key whose value is not
+# a plain number; a block's converter walks and builds that block
+_CONVERT = {
+    "problem": _fixed(Problem, dimension=1),
+    "problem.dimension": _integer,
+    **dict.fromkeys(KINDS, _kind_block),
+    # built in parse_config, which takes validate out for RunSetup
+    "solver": lambda block, path: _walk(block, path, {**_fields(SolverConfig), "validate": False}),
+    "solver.dt": lambda value, path: value if value == "auto" else _number(value, path),
+    "solver.validate": _flag,
+    "analysis": _fixed(AnalysisOptions),
+    **dict.fromkeys(("solver.scheme", "analysis.side"), lambda value, path: value),
+    **dict.fromkeys(
+        ("solver.snapshot_times", "analysis.eps_list", "analysis.levels", "analysis.speed_window"),
+        _numbers,
+    ),
+    "tumor": _fixed(TreatmentSchedule),
+    "tumor.events": _events,
+}
+
+
+def parse_config(data: dict) -> RunSetup:
+    blocks = _walk(data, "", {"problem": True, "solver": True, "analysis": False, "tumor": False})
+    solver = blocks.pop("solver")
+    if "validate" in solver:
+        blocks["validate"] = solver.pop("validate")
+    if "tumor" in blocks:
+        blocks["schedule"] = blocks.pop("tumor")
+    return RunSetup(solver=_build(SolverConfig, solver, "solver"), **blocks)
 
 
 def load_config(path) -> RunSetup:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)

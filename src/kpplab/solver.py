@@ -54,12 +54,14 @@ class SolverConfig:
             raise ValueError("dt must be a positive number or 'auto'.")
         if not isinstance(self.dt, str) and self.dt <= 0:
             raise ValueError("dt must be a positive number or 'auto'.")
+        if self.snapshot_every is not None and self.snapshot_every <= 0:
+            raise ValueError("snapshot_every must be positive.")
+        if self.snapshot_times is not None and any(t < 0 for t in self.snapshot_times):
+            raise ValueError("snapshot_times must be nonnegative.")
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is not None:
             ts = np.asarray(sorted(set(float(t) for t in self.snapshot_times)))
-            if ts.size and ts[0] < 0:
-                raise ValueError("snapshot times must be nonnegative.")
         else:
             every = self.snapshot_every if self.snapshot_every is not None else self.t_final
             n = int(math.floor(self.t_final / every + 1e-9))

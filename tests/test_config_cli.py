@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kpplab.cli import main
-from kpplab.config import SchemaError, parse_config
+from kpplab.config import KINDS, SchemaError, parse_config
+from kpplab.model import CoefficientField, InitialCondition, Reaction
 
 MINIMAL = {
     "problem": {
@@ -31,6 +34,9 @@ def test_parse_minimal_config():
     assert setup.solver.t_final == 8.0
     assert setup.analysis.eps_list == (0.1,)
     assert setup.schedule is None
+    data = json.loads(json.dumps(MINIMAL))
+    del data["problem"]["dimension"]
+    assert parse_config(data).problem.dimension == 1
 
 
 PIECEWISE_REACTION = {
@@ -44,11 +50,29 @@ UNKNOWN_KEYS = [
     (("problem", "reaction"), "s1", 0.9),
 ]
 
-# (block, key, value) where a number or a list of numbers is expected; JSON
-# true is not the number 1
+# (block path, key, value): a block that is not a JSON object, and a kind that
+# is not a string
+NOT_OBJECTS = [
+    ((), "problem", []),
+    ((), "solver", 5),
+    ((), "analysis", None),
+    ((), "tumor", 3),
+    (("problem",), "coefficient", 5),
+    (("problem",), "reaction", 5),
+    (("problem",), "initial", True),
+    (("problem", "initial"), "kind", ["bump"]),
+]
+
+# (block, key, value) where a finite number or a list of numbers is expected
+# (JSON true is not the number 1), or where the number is out of range
 BAD_VALUES = [
     ("solver", "dt", "fast"),
     ("solver", "dt", True),
+    ("solver", "h", float("nan")),
+    ("solver", "t_final", float("inf")),
+    ("solver", "snapshot_every", 0),
+    ("solver", "snapshot_every", -1),
+    ("solver", "snapshot_times", [-1]),
     ("problem", "dimension", True),
     ("tumor", "events", [[True, 0.5]]),
     ("tumor", "events", [[4.0, True]]),
@@ -79,11 +103,26 @@ def test_unknown_key_is_named():
             parse_config(with_key(path, key, value))
 
 
+def test_non_object_block_is_named():
+    with pytest.raises(SchemaError, match="top level"):
+        parse_config([])
+    for path, key, value in NOT_OBJECTS:
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            parse_config(with_key(path, key, value))
+
+
+# (block path, block without the key, the key): a solver key, and a parameter
+# of the kind's factory
+MISSING_KEYS = [
+    (("solver",), {"t_final": 8.0}, "h"),
+    (("problem", "coefficient"), {"kind": "sine", "base": 1.0, "amplitude": 0.5}, "wavelength"),
+]
+
+
 def test_missing_required_key_is_named():
-    bad = json.loads(json.dumps(MINIMAL))
-    del bad["solver"]["h"]
-    with pytest.raises(SchemaError, match="'h'"):
-        parse_config(bad)
+    for path, block, key in MISSING_KEYS:
+        with pytest.raises(SchemaError, match=f"'{key}'"):
+            parse_config(with_key(path[:-1], path[-1], block))
 
 
 def test_bad_value_types_rejected():
@@ -112,11 +151,14 @@ def test_cli_run_is_deterministic(tmp_path):
 
 
 def test_cli_schema_violation_exits_2(tmp_path, capsys):
-    cases = UNKNOWN_KEYS + [((block,), key, value) for block, key, value in BAD_VALUES]
+    cases = UNKNOWN_KEYS + NOT_OBJECTS + [((block,), k, v) for block, k, v in BAD_VALUES]
     for i, (path, key, value) in enumerate(cases):
         cfg = write_config(tmp_path, with_key(path, key, value), f"bad{i}.json")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, key
         assert key in capsys.readouterr().err
+    cfg = write_config(tmp_path, [], "top.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "top level" in capsys.readouterr().err
 
 
 def test_cli_numerical_abort_exits_3(tmp_path):
@@ -204,6 +246,20 @@ def test_cli_sweep_rejects_non_numeric_axis(tmp_path):
     assert rc == 2
 
 
+def test_cli_sweep_checks_every_point_before_running(tmp_path, capsys):
+    data = json.loads(json.dumps(MINIMAL))
+    data["tumor"] = {"events": [[4.0, 0.5]], "sigma_img": 0.3}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["--axis", "tumor.sigma_img=0.3,1.5"]) == 2
+    assert "sigma_img" in capsys.readouterr().err
+    assert not out.exists()  # not even the valid first point ran
+    cfg.write_text("{")
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_cli_sweep_parallel_matches_serial(tmp_path):
     data = json.loads(json.dumps(MINIMAL))
     data["analysis"] = {}
@@ -265,3 +321,56 @@ def test_level_curve_csv_schema(tmp_path):
     lines = (out / "level_pos.csv").read_text().splitlines()
     assert lines[0] == "t,level_pos"
     assert len(lines) > 3
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# kind -> a direct call of the kind's factory on a block's values
+DIRECT = {
+    "constant": lambda b: CoefficientField.constant(b["value"]),
+    "sine": lambda b: CoefficientField.sine(b["base"], b["amplitude"], b["wavelength"]),
+    "piecewise": lambda b: CoefficientField.piecewise(b["a_minus"], b["a_plus"], b["radius"]),
+    "logistic": lambda b: Reaction.logistic(b["rate"]),
+    "zero": lambda b: Reaction.zero(),
+    "piecewise-kpp": lambda b: Reaction.piecewise_kpp(
+        b["rate_minus"], b["rate_plus"], b["theta"], b["radius"]
+    ),
+    "gaussian": lambda b: InitialCondition.gaussian(b["amplitude"], b["decay"]),
+    "exponential": lambda b: InitialCondition.exponential(b["amplitude"], b["decay"]),
+    "bump": lambda b: InitialCondition.bump(b["radius"], b["height"]),
+}
+
+
+def readme_schema() -> tuple[dict, dict[str, list[dict]]]:
+    """The README's jsonc schema example with its comments stripped, and every
+    kind block it documents (the example's own and each commented
+    alternative) by block path."""
+    example = README.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    data = json.loads(re.sub(r"//.*", "", example))
+    documented = {path: [data["problem"][path.split(".")[1]]] for path in KINDS}
+    path = None
+    for line in example.splitlines():
+        block = re.match(r'\s*"(coefficient|reaction|initial)":', line)
+        if block:
+            path = f"problem.{block.group(1)}"
+        alternative = re.match(r"\s*//\s*(\{.*?\})", line)
+        if alternative:
+            documented[path].append(json.loads(alternative.group(1)))
+    return data, documented
+
+
+def test_readme_schema_matches_the_kind_table():
+    data, documented = readme_schema()
+    parse_config(data)
+    kinds = {path: {block["kind"] for block in blocks} for path, blocks in documented.items()}
+    assert kinds == {path: set(table) for path, table in KINDS.items()}
+    x = np.linspace(-20.0, 20.0, 81)
+    for path, blocks in documented.items():
+        name = path.split(".")[1]
+        for block in blocks:
+            built = getattr(parse_config(with_key(("problem",), name, block)).problem, name)
+            direct = DIRECT[block["kind"]](block)
+            if block["kind"] == "sine":  # holds a lambda: compare by value on a grid
+                assert np.array_equal(built.evaluate(x), direct.evaluate(x))
+            else:
+                assert built == direct, block
