@@ -3,12 +3,22 @@ reaction-diffusion equations, parabolic kernels, and treatment protocols."""
 
 from .grids import Grid, GridFunction
 from .model import (
+    Bump,
     CoefficientField,
+    Constant,
+    Exponential,
+    Gaussian,
     HypothesisReport,
     InitialCondition,
+    Logistic,
     MalformedReactionError,
+    Piecewise,
+    PiecewiseKPP,
     Problem,
     Reaction,
+    Separable,
+    Sine,
+    Zero,
     builtin_problems,
     homogeneous_kpp,
     make_initial,

@@ -260,11 +260,11 @@ def global_sign_report(
     p = traj.problem
     if p.dimension != 1:
         raise HypothesisMismatchError("global sign certificate requires a 1D problem.")
-    if p.reaction.kind != "piecewise-kpp":
+    if not p.reaction.linear_near_zero:
         raise HypothesisMismatchError(
             "global sign certificate requires the piecewise reaction with linear pieces near 0."
         )
-    if p.coefficient.kind not in ("constant", "piecewise"):
+    if not p.coefficient.constant_at_infinity:
         raise HypothesisMismatchError(
             "global sign certificate requires a coefficient constant for large |x|."
         )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import analysis as an
 from . import tumor as tu
-from .config import RunSetup, SchemaError, load_config, parse_config
+from .config import RunSetup, SchemaError, load_config, parse_config, read_config
 from .csvio import FLOAT, fmt, open_csv, write_csv
 from .model import validate_problem
 from .solver import NumericalError, solve
@@ -218,7 +218,7 @@ def _sweep_worker(payload) -> dict:
 
 def cmd_sweep(args) -> int:
     try:
-        data = json.loads(Path(args.config).read_text())
+        data = read_config(args.config)
         axes: list[tuple[str, list[float]]] = []
         for spec in args.axis or []:
             if "=" not in spec:
@@ -238,7 +238,7 @@ def cmd_sweep(args) -> int:
             assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
         for assignment in assignments:  # every point is checked before any runs
             _point_setup(data, assignment)
-    except (SchemaError, json.JSONDecodeError) as exc:
+    except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Declarative run configuration: JSON with nested blocks, schema-validated.
 
-A kind block's keys are the parameters of the factory that its ``kind``
-names in :data:`KINDS`; every other block's keys and defaults are the fields
-of the dataclass it builds. One walker checks and builds every block; see
+A kind block's keys are the fields of the class that its ``kind`` names in
+:data:`KINDS`; every other block's keys and defaults are the fields of the
+dataclass it builds. One walker checks and builds every block; see
 README for the schema and configs/ for pinned examples.
 """
 from __future__ import annotations
@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from inspect import signature
 from pathlib import Path
 from typing import Optional
 
-from .model import CoefficientField, InitialCondition, Problem, Reaction
+from . import model
 from .solver import SolverConfig
 from .tumor import TreatmentSchedule
 
@@ -41,21 +40,20 @@ class AnalysisOptions:
 
 @dataclass
 class RunSetup:
-    problem: Problem
+    problem: model.Problem
     solver: SolverConfig
     validate: bool = True
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     schedule: Optional[TreatmentSchedule] = None
 
 
-# block path -> {kind: factory}; each kind names its factory, with "-" for "_",
-# and a kind's keys are its factory's parameters
+# block path -> {kind: class}; a kind's keys are its class's fields
 KINDS = {
-    path: {kind: getattr(cls, kind.replace("-", "_")) for kind in kinds.split()}
-    for path, cls, kinds in (
-        ("problem.coefficient", CoefficientField, "constant sine piecewise"),
-        ("problem.reaction", Reaction, "logistic zero piecewise-kpp"),
-        ("problem.initial", InitialCondition, "gaussian exponential bump"),
+    path: {cls.kind: cls for cls in classes}
+    for path, classes in (
+        ("problem.coefficient", (model.Constant, model.Sine, model.Piecewise)),
+        ("problem.reaction", (model.Logistic, model.Zero, model.PiecewiseKPP)),
+        ("problem.initial", (model.Gaussian, model.Exponential, model.Bump)),
     )
 }
 
@@ -131,12 +129,11 @@ def _build(target, args: dict, path: str):
 def _kind_block(block, path: str):
     kinds = KINDS[path]
     kind = _object(block, path).get("kind")  # None when missing
-    factory = kinds.get(kind) if isinstance(kind, str) else None
-    if factory is None:
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise SchemaError(f"{_at(path + '.kind')} must be one of {list(kinds)}, not {kind!r}.")
-    params = {p.name: p.default is p.empty for p in signature(factory).parameters.values()}
     rest = {key: value for key, value in block.items() if key != "kind"}
-    return _build(factory, _walk(rest, path, params), path)
+    return _build(cls, _walk(rest, path, _fields(cls)), path)
 
 
 def _fields(cls) -> dict[str, bool]:
@@ -154,7 +151,7 @@ def _fixed(cls, **defaults):
 # dotted key path -> converter(value, path), for every key whose value is not
 # a plain number; a block's converter walks and builds that block
 _CONVERT = {
-    "problem": _fixed(Problem, dimension=1),
+    "problem": _fixed(model.Problem, dimension=1),
     "problem.dimension": _integer,
     **dict.fromkeys(KINDS, _kind_block),
     # built in parse_config, which takes validate out for RunSetup
@@ -182,9 +179,14 @@ def parse_config(data: dict) -> RunSetup:
     return RunSetup(solver=_build(SolverConfig, solver, "solver"), **blocks)
 
 
-def load_config(path) -> RunSetup:
+def read_config(path):
+    """The JSON data of the config file at ``path``; a file that cannot be
+    read, decoded as UTF-8 or parsed as JSON is a SchemaError naming it."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(data)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read config '{path}': {exc}") from exc
+
+
+def load_config(path) -> RunSetup:
+    return parse_config(read_config(path))

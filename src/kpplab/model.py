@@ -1,5 +1,8 @@
 """Problem definitions: diffusion coefficients, KPP reactions, initial data.
 
+Each kind is one frozen dataclass: it checks its arguments, owns its formula
+and states the facts the theorems need (Lipschitz bound, constancy at
+infinity, linearity near 0, exact homogeneity outside a bounded interval).
 The validator measures the structural constants (ellipticity bound, Lipschitz
 bound, linear lower bound near 0) by sampling and returns a
 :class:`HypothesisReport` with one verdict per hypothesis.
@@ -7,7 +10,7 @@ bound, linear lower bound near 0) by sampling and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -36,226 +39,289 @@ def _radius(points):
     return np.abs(np.asarray(points))
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Scalar diffusivity field a(x) (matrix fields reduce to a(x)·I here).
-
-    Kinds: "constant" (value), "function" (callable of the first coordinate),
-    "piecewise" (a- / a+ blended smoothly inside |x| <= radius, exactly
-    constant outside).
-    """
-
-    kind: str
-    value: float = 1.0
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    a_minus: float = 1.0
-    a_plus: float = 1.0
-    radius: float = 0.0
-
-    @staticmethod
-    def constant(value: float) -> "CoefficientField":
-        if value <= 0:
-            raise ValueError("diffusivity must be positive.")
-        return CoefficientField(kind="constant", value=value)
-
-    @staticmethod
-    def from_function(func: Callable[[np.ndarray], np.ndarray]) -> "CoefficientField":
-        return CoefficientField(kind="function", func=func)
-
-    @staticmethod
-    def sine(base: float, amplitude: float, wavelength: float) -> "CoefficientField":
-        """a(x) = base + amplitude*sin(x/wavelength) along the first coordinate."""
-        if base - abs(amplitude) <= 0:
-            raise ValueError("sine coefficient must stay positive.")
-        return CoefficientField(
-            kind="function", func=lambda x: base + amplitude * np.sin(x / wavelength)
-        )
-
-    @staticmethod
-    def piecewise(a_minus: float, a_plus: float, radius: float) -> "CoefficientField":
-        if a_minus <= 0 or a_plus <= 0:
-            raise ValueError("diffusivities must be positive.")
-        if radius <= 0:
-            raise ValueError("transition radius must be positive.")
-        return CoefficientField(kind="piecewise", a_minus=a_minus, a_plus=a_plus, radius=radius)
-
-    def evaluate(self, points) -> np.ndarray:
-        x = np.asarray(_first_coord(points), dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.value)
-        if self.kind == "function":
-            return np.asarray(self.func(x), dtype=float)
-        if self.kind == "piecewise":
-            w = smoothstep((x + self.radius) / (2.0 * self.radius))
-            return self.a_minus + (self.a_plus - self.a_minus) * w
-        raise ValueError(f"unknown coefficient kind {self.kind!r}.")
-
-    def constant_at_infinity(self) -> bool:
-        return self.kind in ("constant", "piecewise")
-
-
-@dataclass(frozen=True)
-class Reaction:
-    """Reaction term f(x,u).
-
-    Kinds: "logistic" (rate*u*(1-u)), "zero" (f=0, diffusion-only runs),
-    "separable" (r(x)*g(u)), "piecewise-kpp" (tent profiles
-    f±(u) = rate±*min(u, theta*(1-u)/(1-theta)) blended smoothly inside
-    |x| <= radius, exactly f± outside).
-    """
-
-    kind: str
-    rate: float = 1.0
-    rate_minus: float = 1.0
-    rate_plus: float = 1.0
-    theta: float = 0.5
-    radius: float = 0.0
-    r_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    g_func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    @staticmethod
-    def logistic(rate: float) -> "Reaction":
-        if rate <= 0:
-            raise ValueError("logistic rate must be positive.")
-        return Reaction(kind="logistic", rate=rate)
-
-    @staticmethod
-    def zero() -> "Reaction":
-        return Reaction(kind="zero", rate=0.0)
-
-    @staticmethod
-    def separable(r_func, g_func) -> "Reaction":
-        return Reaction(kind="separable", r_func=r_func, g_func=g_func)
-
-    @staticmethod
-    def piecewise_kpp(
-        rate_minus: float, rate_plus: float, theta: float, radius: float
-    ) -> "Reaction":
-        if rate_minus <= 0 or rate_plus <= 0:
-            raise ValueError("piecewise rates must be positive.")
-        if not 0 < theta < 1:
-            raise ValueError("theta must lie in (0,1).")
-        if radius <= 0:
-            raise ValueError("blend radius must be positive.")
-        return Reaction(
-            kind="piecewise-kpp",
-            rate_minus=rate_minus,
-            rate_plus=rate_plus,
-            theta=theta,
-            radius=radius,
-        )
-
-    def tent(self, u, rate: float) -> np.ndarray:
-        """Tent profile rate*min(u, theta*(1-u)/(1-theta)); linear on [0,theta]."""
-        u = np.asarray(u, dtype=float)
-        return rate * np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
+class Blend:
+    """The smoothstep blend shared by the piecewise kinds: weight 0 for
+    x <= -radius, 1 for x >= radius. These kinds are one-dimensional."""
 
     def blend_weight(self, x) -> np.ndarray:
         return smoothstep((np.asarray(x, dtype=float) + self.radius) / (2.0 * self.radius))
 
+
+class CoefficientField:
+    """Scalar diffusivity field a(x) (matrix fields reduce to a(x)·I here)."""
+
+    kind: ClassVar[str]
+    constant_at_infinity: ClassVar[bool] = False  # a(x) exactly constant for large |x|
+
+    def evaluate(self, points) -> np.ndarray:
+        raise NotImplementedError
+
+    def exactly_homogeneous(self, half_width: float) -> Optional[bool]:
+        """Whether a(x) is exactly constant outside its transition interval
+        on [-half_width, half_width]; None for kinds without one."""
+        return None
+
+
+@dataclass(frozen=True)
+class Constant(CoefficientField):
+    value: float
+
+    kind = "constant"
+    constant_at_infinity = True
+
+    def __post_init__(self) -> None:
+        if self.value <= 0:
+            raise ValueError("diffusivity must be positive.")
+
+    def evaluate(self, points) -> np.ndarray:
+        return np.full_like(np.asarray(_first_coord(points), dtype=float), self.value)
+
+
+@dataclass(frozen=True)
+class Sine(CoefficientField):
+    """a(x) = base + amplitude*sin(x/wavelength) along the first coordinate."""
+
+    base: float
+    amplitude: float
+    wavelength: float
+
+    kind = "sine"
+
+    def __post_init__(self) -> None:
+        if self.base - abs(self.amplitude) <= 0:
+            raise ValueError("sine coefficient must stay positive.")
+
+    def evaluate(self, points) -> np.ndarray:
+        x = np.asarray(_first_coord(points), dtype=float)
+        return self.base + self.amplitude * np.sin(x / self.wavelength)
+
+
+@dataclass(frozen=True)
+class Piecewise(Blend, CoefficientField):
+    """a- / a+ blended smoothly inside |x| <= radius, exactly constant outside."""
+
+    a_minus: float
+    a_plus: float
+    radius: float
+
+    kind = "piecewise"
+    constant_at_infinity = True
+
+    def __post_init__(self) -> None:
+        if self.a_minus <= 0 or self.a_plus <= 0:
+            raise ValueError("diffusivities must be positive.")
+        if self.radius <= 0:
+            raise ValueError("transition radius must be positive.")
+
+    def evaluate(self, points) -> np.ndarray:
+        w = self.blend_weight(_first_coord(points))
+        return self.a_minus + (self.a_plus - self.a_minus) * w
+
+    def exactly_homogeneous(self, half_width: float) -> bool:
+        out = np.linspace(self.radius, half_width, 16)
+        plus, minus = self.evaluate(out), self.evaluate(-out)
+        return bool(np.all(plus == self.a_plus) and np.all(minus == self.a_minus))
+
+
+class Reaction:
+    """Reaction term f(x,u)."""
+
+    kind: ClassVar[str]
+    constant_at_infinity: ClassVar[bool] = False  # f(x,.) independent of x for large |x|
+    linear_near_zero: ClassVar[bool] = False  # f(x,u) = r(x) u with r > 0 for u near 0
+
     def bind(self, points) -> Optional[Callable[..., np.ndarray]]:
         """f(x, .) at fixed points as a function ``f(u, out=None)`` of u alone;
-        None for the zero kind.
+        None for f = 0.
 
         The x-dependent factors are computed once, so a time march evaluates
         only the u-dependent part at each step. With ``out`` (an array of the
-        points' shape) the result is written there and returned. This is the
-        one place that knows the formula of each kind.
+        points' shape) the result is written there and returned.
         """
-        if self.kind == "zero":
-            return None
-        if self.kind == "logistic":
-            rate = self.rate
-            return lambda u, out=None: np.multiply(np.multiply(rate, u, out=out), 1.0 - u, out=out)
-        x = np.asarray(_first_coord(points), dtype=float)
-        if self.kind == "separable":
-            rx = np.asarray(self.r_func(x), dtype=float)
-            return lambda u, out=None: np.multiply(
-                rx, np.asarray(self.g_func(u), dtype=float), out=out
-            )
-        if self.kind == "piecewise-kpp":
-            w = self.blend_weight(x)
-            return lambda u, out=None: np.add(
-                w * self.tent(u, self.rate_plus), (1.0 - w) * self.tent(u, self.rate_minus), out=out
-            )
-        raise ValueError(f"unknown reaction kind {self.kind!r}.")
+        raise NotImplementedError
 
     def evaluate(self, points, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         f = self.bind(points)
         return np.zeros_like(u) if f is None else f(u)
 
-    def lipschitz_bound(self, xs=None, n_samples: int = 256) -> float:
-        """Upper bound on |df/du|, uniform in x. For separable kinds it is
-        sampled: g' on n_samples points of [0,1], and r at the first
-        coordinates ``xs`` (default n_samples points of [-100, 100])."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "logistic":
-            return self.rate
-        if self.kind == "piecewise-kpp":
-            slope_up = max(self.rate_minus, self.rate_plus)
-            slope_down = slope_up * self.theta / (1.0 - self.theta)
-            return max(slope_up, slope_down)
-        ss = np.linspace(0.0, 1.0, n_samples)
-        g = np.asarray(self.g_func(ss), dtype=float)
-        slope = np.max(np.abs(np.diff(g))) / (ss[1] - ss[0])
-        if xs is None:
-            xs = np.linspace(-100.0, 100.0, n_samples)
-        rmax = float(np.max(np.abs(np.asarray(self.r_func(xs), dtype=float))))
-        return float(slope * rmax)
+    def lipschitz_bound(self, xs=None) -> float:
+        """Upper bound on |df/du|, uniform in x (in the first coordinates
+        ``xs`` for kinds that depend on x)."""
+        raise NotImplementedError
 
-    def constant_at_infinity(self) -> bool:
-        return self.kind in ("logistic", "zero", "piecewise-kpp")
+    def exactly_homogeneous(self, half_width: float) -> Optional[bool]:
+        """Whether f is exactly linear near 0 and independent of x outside its
+        transition interval on [-half_width, half_width]; None for kinds
+        without one."""
+        return None
 
 
 @dataclass(frozen=True)
+class Logistic(Reaction):
+    """f(u) = rate*u*(1-u)."""
+
+    rate: float
+
+    kind = "logistic"
+    constant_at_infinity = True
+
+    def __post_init__(self) -> None:
+        if self.rate <= 0:
+            raise ValueError("logistic rate must be positive.")
+
+    def bind(self, points) -> Callable[..., np.ndarray]:
+        rate = self.rate
+        return lambda u, out=None: np.multiply(np.multiply(rate, u, out=out), 1.0 - u, out=out)
+
+    def lipschitz_bound(self, xs=None) -> float:
+        return self.rate
+
+
+@dataclass(frozen=True)
+class Zero(Reaction):
+    """f = 0, for diffusion-only runs."""
+
+    kind = "zero"
+    constant_at_infinity = True
+
+    def bind(self, points) -> None:
+        return None
+
+    def lipschitz_bound(self, xs=None) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class Separable(Reaction):
+    """f(x,u) = r(x)*g(u); ``g_lipschitz`` is the caller's bound on sup |g'|
+    over [0,1]."""
+
+    r_func: Callable[[np.ndarray], np.ndarray]
+    g_func: Callable[[np.ndarray], np.ndarray]
+    g_lipschitz: float
+
+    kind = "separable"
+
+    def __post_init__(self) -> None:
+        if not self.g_lipschitz >= 0:
+            raise ValueError("g_lipschitz must be a nonnegative bound on |g'|.")
+
+    def bind(self, points) -> Callable[..., np.ndarray]:
+        rx = np.asarray(self.r_func(np.asarray(_first_coord(points), dtype=float)), dtype=float)
+        g = self.g_func
+        return lambda u, out=None: np.multiply(rx, np.asarray(g(u), dtype=float), out=out)
+
+    def lipschitz_bound(self, xs=None) -> float:
+        """g_lipschitz times the largest |r| at ``xs`` (default 256 points of
+        [-100, 100])."""
+        if xs is None:
+            xs = np.linspace(-100.0, 100.0, 256)
+        rmax = float(np.max(np.abs(np.asarray(self.r_func(xs), dtype=float))))
+        return float(self.g_lipschitz * rmax)
+
+
+@dataclass(frozen=True)
+class PiecewiseKPP(Blend, Reaction):
+    """Tent profiles f±(u) = rate±*min(u, theta*(1-u)/(1-theta)) blended
+    smoothly inside |x| <= radius, exactly f± outside."""
+
+    rate_minus: float
+    rate_plus: float
+    theta: float
+    radius: float
+
+    kind = "piecewise-kpp"
+    constant_at_infinity = True
+    linear_near_zero = True
+
+    def __post_init__(self) -> None:
+        if self.rate_minus <= 0 or self.rate_plus <= 0:
+            raise ValueError("piecewise rates must be positive.")
+        if not 0 < self.theta < 1:
+            raise ValueError("theta must lie in (0,1).")
+        if self.radius <= 0:
+            raise ValueError("blend radius must be positive.")
+
+    def tent(self, u, rate: float) -> np.ndarray:
+        """Tent profile rate*min(u, theta*(1-u)/(1-theta)); linear on [0,theta]."""
+        u = np.asarray(u, dtype=float)
+        return rate * np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
+
+    def bind(self, points) -> Callable[..., np.ndarray]:
+        w = self.blend_weight(_first_coord(points))
+        return lambda u, out=None: np.add(
+            w * self.tent(u, self.rate_plus), (1.0 - w) * self.tent(u, self.rate_minus), out=out
+        )
+
+    def lipschitz_bound(self, xs=None) -> float:
+        slope_up = max(self.rate_minus, self.rate_plus)
+        slope_down = slope_up * self.theta / (1.0 - self.theta)
+        return max(slope_up, slope_down)
+
+    def exactly_homogeneous(self, half_width: float) -> bool:
+        out = np.linspace(self.radius, half_width, 16)
+        uu = np.linspace(0.0, self.theta, 16)
+        X, U = np.meshgrid(out, uu, indexing="ij")
+        linear_plus = np.allclose(self.evaluate(X, U), self.rate_plus * U, rtol=0, atol=1e-14)
+        linear_minus = np.allclose(self.evaluate(-X, U), self.rate_minus * U, rtol=0, atol=1e-14)
+        return bool(linear_plus and linear_minus)
+
+
 class InitialCondition:
-    """Initial datum u0, tagged by decay class.
+    """Initial datum u0, a function of |x|."""
 
-    Kinds: "gaussian" (amplitude*exp(-decay*|x|^2)), "exponential"
-    (min(amplitude*exp(-decay*|x|), 1)), "bump" (height inside |x| <= radius,
-    exactly 0 outside).
-    """
-
-    kind: str
-    amplitude: float = 1.0
-    decay: float = 1.0
-    radius: float = 1.0
-    height: float = 1.0
-
-    @staticmethod
-    def gaussian(amplitude: float, decay: float) -> "InitialCondition":
-        if amplitude <= 0 or decay <= 0:
-            raise ValueError("gaussian amplitude and decay must be positive.")
-        return InitialCondition(kind="gaussian", amplitude=amplitude, decay=decay)
-
-    @staticmethod
-    def exponential(amplitude: float, decay: float) -> "InitialCondition":
-        if amplitude <= 0 or decay <= 0:
-            raise ValueError("exponential amplitude and decay must be positive.")
-        return InitialCondition(kind="exponential", amplitude=amplitude, decay=decay)
-
-    @staticmethod
-    def bump(radius: float, height: float) -> "InitialCondition":
-        if radius <= 0 or not 0 < height <= 1:
-            raise ValueError("bump needs radius > 0 and height in (0,1].")
-        return InitialCondition(kind="bump", radius=radius, height=height)
-
-    @property
-    def decay_class(self) -> str:
-        """Which decay hypothesis applies: gaussian-type or exponential-type."""
-        return "exponential" if self.kind == "exponential" else "gaussian"
+    kind: ClassVar[str]
 
     def evaluate(self, points) -> np.ndarray:
-        r = _radius(points)
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-self.decay * r**2)
-        if self.kind == "exponential":
-            return self.amplitude * np.exp(-self.decay * r)
-        if self.kind == "bump":
-            return np.where(r <= self.radius, self.height, 0.0)
-        raise ValueError(f"unknown initial-condition kind {self.kind!r}.")
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class _Decaying(InitialCondition):
+    """The fields and checks shared by the decaying kinds."""
+
+    amplitude: float
+    decay: float
+
+    def __post_init__(self) -> None:
+        if self.amplitude <= 0 or self.decay <= 0:
+            raise ValueError("amplitude and decay must be positive.")
+
+
+class Gaussian(_Decaying):
+    """amplitude*exp(-decay*|x|^2)."""
+
+    kind = "gaussian"
+
+    def evaluate(self, points) -> np.ndarray:
+        return self.amplitude * np.exp(-self.decay * _radius(points) ** 2)
+
+
+class Exponential(_Decaying):
+    """amplitude*exp(-decay*|x|), capped at 1 when sampled on a grid."""
+
+    kind = "exponential"
+
+    def evaluate(self, points) -> np.ndarray:
+        return self.amplitude * np.exp(-self.decay * _radius(points))
+
+
+@dataclass(frozen=True)
+class Bump(InitialCondition):
+    """height inside |x| <= radius, exactly 0 outside."""
+
+    radius: float
+    height: float
+
+    kind = "bump"
+
+    def __post_init__(self) -> None:
+        if self.radius <= 0 or not 0 < self.height <= 1:
+            raise ValueError("bump needs radius > 0 and height in (0,1].")
+
+    def evaluate(self, points) -> np.ndarray:
+        return np.where(_radius(points) <= self.radius, self.height, 0.0)
 
 
 @dataclass(frozen=True)
@@ -274,9 +340,8 @@ class Problem:
         if self.half_width <= 0:
             raise ValueError("half_width must be positive.")
         for piece in (self.coefficient, self.reaction):
-            r = getattr(piece, "radius", 0.0)
-            if getattr(piece, "kind", "") in ("piecewise", "piecewise-kpp"):
-                if self.half_width <= r:
+            if isinstance(piece, Blend):
+                if self.half_width <= piece.radius:
                     raise ValueError("half_width must exceed the piecewise radius.")
                 if self.dimension != 1:
                     raise ValueError("piecewise kinds are one-dimensional.")
@@ -304,10 +369,6 @@ class HypothesisReport:
     @property
     def all_pass(self) -> bool:
         return all(v.passed is not False for v in self.verdicts.values())
-
-    @property
-    def warnings(self) -> list[str]:
-        return [f"{k}: {v.note}" for k, v in self.verdicts.items() if v.passed is None]
 
     def summary(self) -> str:
         lines = [f"nu={self.nu:.6g}  L_lip={self.L_lip:.6g}  mu={self.mu:.6g}  s0={self.s0:.6g}"]
@@ -399,39 +460,21 @@ def validate_problem(p: Problem, n_samples: int = 64, s0_window: float = 0.1) ->
     else:
         verdicts["h8_linear_lower"] = Verdict(True)
 
-    # (5)/(9) asymptotic homogeneity: structural for builtin kinds, warn otherwise.
-    if p.coefficient.constant_at_infinity():
-        verdicts["h5_coeff_osc"] = Verdict(True)
-    else:
-        verdicts["h5_coeff_osc"] = Verdict(
-            None, note="user-supplied coefficient; gradient decay at infinity not checked"
-        )
-    if p.reaction.constant_at_infinity():
-        verdicts["h9_reaction_osc"] = Verdict(True)
-    else:
-        verdicts["h9_reaction_osc"] = Verdict(
-            None, note="user-supplied reaction; oscillation decay at infinity not checked"
-        )
+    # (5)/(9) asymptotic homogeneity: stated by each kind, warned where it is not.
+    for key, piece, note in (
+        ("h5_coeff_osc", p.coefficient, "coefficient gradient decay at infinity not checked"),
+        ("h9_reaction_osc", p.reaction, "reaction oscillation decay at infinity not checked"),
+    ):
+        verdicts[key] = Verdict(True) if piece.constant_at_infinity else Verdict(None, note=note)
 
     # Piecewise kinds: exact homogeneity outside the transition interval.
-    if p.coefficient.kind == "piecewise":
-        R = p.coefficient.radius
-        out = np.linspace(R, L, 16)
-        okp = np.allclose(p.coefficient.evaluate(out), p.coefficient.a_plus, rtol=0, atol=0)
-        okm = np.allclose(p.coefficient.evaluate(-out), p.coefficient.a_minus, rtol=0, atol=0)
-        verdicts["piecewise_coeff_constant"] = Verdict(bool(okp and okm))
-    if p.reaction.kind == "piecewise-kpp":
-        R = p.reaction.radius
-        out = np.linspace(R, L, 16)
-        uu = np.linspace(0.0, p.reaction.theta, 16)
-        Xo, Uo = np.meshgrid(out, uu, indexing="ij")
-        linear_plus = np.allclose(
-            p.reaction.evaluate(Xo, Uo), p.reaction.rate_plus * Uo, rtol=0, atol=1e-14
-        )
-        linear_minus = np.allclose(
-            p.reaction.evaluate(-Xo, Uo), p.reaction.rate_minus * Uo, rtol=0, atol=1e-14
-        )
-        verdicts["piecewise_reaction_linear"] = Verdict(bool(linear_plus and linear_minus))
+    for key, piece in (
+        ("piecewise_coeff_constant", p.coefficient),
+        ("piecewise_reaction_linear", p.reaction),
+    ):
+        exact = piece.exactly_homogeneous(L)
+        if exact is not None:
+            verdicts[key] = Verdict(exact)
 
     return HypothesisReport(nu=nu, L_lip=L_lip, mu=mu, s0=s0, verdicts=verdicts)
 
@@ -456,9 +499,9 @@ def homogeneous_kpp(
     return Problem(
         dimension=dimension,
         half_width=half_width,
-        coefficient=CoefficientField.constant(diffusivity),
-        reaction=Reaction.logistic(rate),
-        initial=InitialCondition.bump(bump_radius, bump_height),
+        coefficient=Constant(diffusivity),
+        reaction=Logistic(rate),
+        initial=Bump(bump_radius, bump_height),
     )
 
 
@@ -476,9 +519,9 @@ def piecewise_kpp_problem(
     return Problem(
         dimension=1,
         half_width=half_width,
-        coefficient=CoefficientField.piecewise(a_minus, a_plus, radius),
-        reaction=Reaction.piecewise_kpp(rate_minus, rate_plus, theta, radius),
-        initial=InitialCondition.bump(1.0, 1.0),
+        coefficient=Piecewise(a_minus, a_plus, radius),
+        reaction=PiecewiseKPP(rate_minus, rate_plus, theta, radius),
+        initial=Bump(1.0, 1.0),
     )
 
 

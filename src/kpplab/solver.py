@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .grids import Grid, GridFunction
-from .model import CoefficientField, Problem, Reaction, make_initial, validate_problem
+from .model import CoefficientField, Constant, Problem, Reaction, Separable, Zero
+from .model import make_initial, validate_problem
 
 MAXPRINCIPLE_TOL = 1e-12
 
@@ -426,7 +427,7 @@ def fundamental_solution(
     state[idx] = grid.h ** (-grid.dim)
     source = tuple(grid.axis(k)[idx[k]] for k in range(grid.dim))
 
-    stepper = _Stepper(coeff, Reaction.zero(), grid)
+    stepper = _Stepper(coeff, Zero(), grid)
     dt = 0.9 * stepper.stability_bound()
     cell = grid.h**grid.dim
 
@@ -470,11 +471,11 @@ def solve_linear_halfline(
         raise ValueError("need a > 0 and lam >= 0.")
     t_targets = sorted(float(t) for t in t_targets)
     dt = 0.9 * v0.h**2 / (2.0 * a)
-    reaction = Reaction.zero()
+    reaction = Zero()
     if lam > 0:
-        reaction = Reaction.separable(lambda x: np.full_like(x, lam), lambda u: u)
+        reaction = Separable(lambda x: np.full_like(x, lam), lambda u: u, 1.0)
         dt = min(dt, 0.5 / lam)
-    stepper = _Stepper(CoefficientField.constant(a), reaction, v0.grid)
+    stepper = _Stepper(Constant(a), reaction, v0.grid)
 
     def hold_trace(t: float, v: np.ndarray) -> None:
         v[0] = float(g(t))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import GridFunction, assert_same_grid, level_crossings
-from .model import Problem
+from .model import Logistic, Problem
 from .solver import SolverConfig, Trajectory, discrete_rhs, solve
 
 GRAZING_SLOPE = 1e-10
@@ -263,7 +263,7 @@ def jump_identity_residual(
 
     Exact (to rounding) for logistic reactions; raises for any other kind.
     """
-    if p.reaction.kind != "logistic":
+    if not isinstance(p.reaction, Logistic):
         raise ValueError("jump identity is derived for the logistic reaction only.")
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0,1].")

@@ -19,7 +19,7 @@ from . import kernels as kn
 from . import tumor as tu
 from .csvio import write_csv
 from .grids import Grid, GridFunction
-from .model import CoefficientField, homogeneous_kpp, piecewise_kpp_problem
+from .model import Constant, Sine, homogeneous_kpp, piecewise_kpp_problem
 from .solver import SolverConfig, fundamental_solution, solve, solve_linear_halfline
 
 SUITES = (
@@ -159,7 +159,7 @@ def suite_green(outdir: Optional[Path] = None) -> list[CheckResult]:
 
 def suite_kernel_mono(outdir: Optional[Path] = None) -> list[CheckResult]:
     results = []
-    rep = kn.check_kernel_ratio(CoefficientField.constant(1.0), tau=4.0, sigma=0.8, keep_rows=outdir is not None)
+    rep = kn.check_kernel_ratio(Constant(1.0), tau=4.0, sigma=0.8, keep_rows=outdir is not None)
     predicted = rep.constant_coeff_prediction
     exact = (
         rep.passed
@@ -173,7 +173,7 @@ def suite_kernel_mono(outdir: Optional[Path] = None) -> list[CheckResult]:
             f"min ratio {rep.min_ratio:.6f} vs (tau/(tau+1))^(1/2) = {predicted:.6f} at x = {rep.argmin_x:g}",
         )
     )
-    neg = kn.check_kernel_ratio(CoefficientField.constant(1.0), tau=1.0, sigma=0.99)
+    neg = kn.check_kernel_ratio(Constant(1.0), tau=1.0, sigma=0.99)
     results.append(
         CheckResult(
             "kernel-ratio-negative-control",
@@ -183,7 +183,7 @@ def suite_kernel_mono(outdir: Optional[Path] = None) -> list[CheckResult]:
     )
     passing = []
     for amp in (0.05, 0.1, 0.2, 0.4):
-        repa = kn.check_kernel_ratio(CoefficientField.sine(1.0, amp, 5.0), tau=4.0, sigma=0.8)
+        repa = kn.check_kernel_ratio(Sine(1.0, amp, 5.0), tau=4.0, sigma=0.8)
         if repa.passed:
             passing.append(amp)
     results.append(
@@ -202,7 +202,7 @@ def suite_kernel_mono(outdir: Optional[Path] = None) -> list[CheckResult]:
 def suite_aronson(outdir: Optional[Path] = None) -> list[CheckResult]:
     grid = Grid.centered(40.0, 0.05, 1)
     times = [0.5, 1.0, 2.0, 4.0]
-    res = fundamental_solution(CoefficientField.sine(1.0, 0.5, 5.0), times, (0.0,), grid)
+    res = fundamental_solution(Sine(1.0, 0.5, 5.0), times, (0.0,), grid)
     fit = kn.fit_aronson_K(res.pairs(), res.source, x_max=10.0, floor=1e-12)
     results = [
         CheckResult(
@@ -212,7 +212,7 @@ def suite_aronson(outdir: Optional[Path] = None) -> list[CheckResult]:
             f"{fit.n_points} points; gaussian-normalized K = {fit.K_gaussian:.3f}",
         )
     ]
-    res1 = fundamental_solution(CoefficientField.constant(1.0), times, (0.0,), grid)
+    res1 = fundamental_solution(Constant(1.0), times, (0.0,), grid)
     fit1 = kn.fit_aronson_K(res1.pairs(), res1.source, x_max=10.0, floor=1e-12)
     results.append(
         CheckResult(

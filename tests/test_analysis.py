@@ -126,14 +126,14 @@ def test_speed_is_level_insensitive_for_steep_fronts(kpp_run):
 
 
 def test_pure_heat_level_slows_down():
-    from kpplab.model import CoefficientField, InitialCondition, Problem, Reaction
+    from kpplab.model import Constant, Gaussian, Problem, Zero
 
     p = Problem(
         dimension=1,
         half_width=40.0,
-        coefficient=CoefficientField.constant(1.0),
-        reaction=Reaction.zero(),
-        initial=InitialCondition.gaussian(1.0, 0.05),
+        coefficient=Constant(1.0),
+        reaction=Zero(),
+        initial=Gaussian(1.0, 0.05),
     )
     traj = solve(
         p,
@@ -187,6 +187,15 @@ def test_theorem2_report_finds_finite_global_time(global_sign_run):
 def test_theorem2_report_rejects_wrong_class(kpp_run):
     with pytest.raises(an.HypothesisMismatchError):
         an.global_sign_report(kpp_run)  # logistic reaction, not the linear-near-0 class
+
+
+def test_theorem2_report_rejects_coefficient_not_constant_at_infinity():
+    from kpplab.model import Bump, PiecewiseKPP, Problem, Sine
+
+    p = Problem(1, 20.0, Sine(2.0, 0.5, 5.0), PiecewiseKPP(0.5, 1.0, 0.3, 10.0), Bump(1.0, 1.0))
+    traj = solve(p, SolverConfig(h=0.25, t_final=1.0, snapshot_every=0.5))
+    with pytest.raises(an.HypothesisMismatchError, match="coefficient constant"):
+        an.global_sign_report(traj)
 
 
 def test_theorem2_report_rejects_two_dimensional():
@@ -252,14 +261,14 @@ def test_spreading_speed_needs_enough_crossings(kpp_run):
 
 
 def test_theorem1_report_reports_unattainable_eps_without_abort():
-    from kpplab.model import CoefficientField, InitialCondition, Problem, Reaction
+    from kpplab.model import Constant, Gaussian, Problem, Zero
 
     p = Problem(
         dimension=1,
         half_width=30.0,
-        coefficient=CoefficientField.constant(1.0),
-        reaction=Reaction.zero(),
-        initial=InitialCondition.gaussian(1.0, 0.5),
+        coefficient=Constant(1.0),
+        reaction=Zero(),
+        initial=Gaussian(1.0, 0.5),
     )
     traj = solve(p, SolverConfig(h=0.1, t_final=10.0, snapshot_every=0.5), validate=False)
     cert = an.monotonicity_report(traj, eps_list=(0.05,))

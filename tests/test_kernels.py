@@ -16,7 +16,7 @@ from kpplab.kernels import (
     scan_green_dt_region,
     t0_threshold,
 )
-from kpplab.model import CoefficientField
+from kpplab.model import Constant
 from kpplab.solver import fundamental_solution, solve_linear_halfline
 
 
@@ -152,7 +152,7 @@ def test_quadrature_matches_pde_solve():
 @pytest.fixture(scope="module")
 def gaussian_kernels():
     grid = Grid.centered(40.0, 0.05, 1)
-    return fundamental_solution(CoefficientField.constant(1.0), [0.5, 1.0, 2.0, 4.0], (0.0,), grid)
+    return fundamental_solution(Constant(1.0), [0.5, 1.0, 2.0, 4.0], (0.0,), grid)
 
 
 def test_aronson_fit_certifies_both_bounds(gaussian_kernels):
@@ -184,26 +184,26 @@ def test_aronson_fit_error_when_window_empty(gaussian_kernels):
 
 def test_prop61_constant_coefficient_threshold():
     # sigma = 0.9, N=1: passing needs tau/(tau+1) > 0.81, i.e. tau > 4.2631
-    coeff = CoefficientField.constant(1.0)
+    coeff = Constant(1.0)
     assert check_kernel_ratio(coeff, tau=4.5, sigma=0.9).passed
     assert not check_kernel_ratio(coeff, tau=4.0, sigma=0.9).passed
 
 
 def test_prop61_small_sigma_always_passes():
-    rep = check_kernel_ratio(CoefficientField.constant(1.0), tau=0.5, sigma=0.01)
+    rep = check_kernel_ratio(Constant(1.0), tau=0.5, sigma=0.01)
     assert rep.passed
     assert rep.min_ratio > 0
 
 
 def test_prop61_min_ratio_matches_prediction_at_origin():
-    rep = check_kernel_ratio(CoefficientField.constant(1.0), tau=4.0, sigma=0.8)
+    rep = check_kernel_ratio(Constant(1.0), tau=4.0, sigma=0.8)
     assert rep.min_ratio == pytest.approx(rep.constant_coeff_prediction, abs=1e-3)
     assert abs(rep.argmin_x) <= 0.05 + 1e-12
 
 
 def test_prop61_two_dimensional_prediction():
     rep = check_kernel_ratio(
-        CoefficientField.constant(1.0),
+        Constant(1.0),
         tau=2.0,
         sigma=0.6,
         x_max=6.0,

@@ -3,11 +3,17 @@ import pytest
 
 from kpplab.grids import Grid
 from kpplab.model import (
-    CoefficientField,
-    InitialCondition,
+    Bump,
+    Constant,
+    Exponential,
+    Gaussian,
+    Logistic,
     MalformedReactionError,
+    Piecewise,
+    PiecewiseKPP,
     Problem,
-    Reaction,
+    Separable,
+    Sine,
     builtin_problems,
     homogeneous_kpp,
     make_initial,
@@ -27,9 +33,9 @@ def test_weak_allee_fails_linear_lower_bound():
     p = Problem(
         dimension=1,
         half_width=20.0,
-        coefficient=CoefficientField.constant(1.0),
-        reaction=Reaction.separable(lambda x: np.ones_like(x), lambda u: u**2 * (1.0 - u)),
-        initial=InitialCondition.bump(1.0, 1.0),
+        coefficient=Constant(1.0),
+        reaction=Separable(lambda x: np.ones_like(x), lambda u: u**2 * (1.0 - u), 1.0),
+        initial=Bump(1.0, 1.0),
     )
     report = validate_problem(p, n_samples=64)
     v = report.verdicts["h8_linear_lower"]
@@ -42,13 +48,13 @@ def test_ellipticity_bound_for_sine_coefficient():
     p = Problem(
         dimension=1,
         half_width=10.0,
-        coefficient=CoefficientField.from_function(lambda x: 2.0 + np.sin(x)),
-        reaction=Reaction.logistic(1.0),
-        initial=InitialCondition.bump(1.0, 1.0),
+        coefficient=Sine(2.0, 1.0, 1.0),
+        reaction=Logistic(1.0),
+        initial=Bump(1.0, 1.0),
     )
     report = validate_problem(p, n_samples=4096)
     assert report.nu == pytest.approx(3.0, abs=1e-4)
-    # user-supplied coefficient: asymptotic homogeneity is warned, not failed
+    # not constant at infinity: asymptotic homogeneity is warned, not failed
     assert report.verdicts["h5_coeff_osc"].passed is None
     assert report.all_pass
 
@@ -57,12 +63,18 @@ def test_malformed_reaction_rejected():
     p = Problem(
         dimension=1,
         half_width=10.0,
-        coefficient=CoefficientField.constant(1.0),
-        reaction=Reaction.separable(lambda x: np.ones_like(x), lambda u: u + 0.1),
-        initial=InitialCondition.bump(1.0, 1.0),
+        coefficient=Constant(1.0),
+        reaction=Separable(lambda x: np.ones_like(x), lambda u: u + 0.1, 1.0),
+        initial=Bump(1.0, 1.0),
     )
     with pytest.raises(MalformedReactionError):
         validate_problem(p)
+
+
+def test_separable_needs_a_nonnegative_slope_bound():
+    for bound in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            Separable(np.ones_like, lambda u: u * (1.0 - u), bound)
 
 
 def test_validator_needs_enough_samples():
@@ -88,7 +100,7 @@ def test_builtin_problems_pass_validation():
 def test_piecewise_kpp_ratio_nonincreasing_on_fine_grid():
     # f±(1-u)/u = rate± * min((1-u)/u, theta/(1-theta)) is non-increasing and
     # the smooth x-blend preserves it; checked on a 100x100 grid.
-    r = Reaction.piecewise_kpp(0.5, 1.0, 0.3, 10.0)
+    r = PiecewiseKPP(0.5, 1.0, 0.3, 10.0)
     xs = np.linspace(-20.0, 20.0, 100)
     us = np.linspace(0.01, 1.0, 100)
     X, U = np.meshgrid(xs, us, indexing="ij")
@@ -97,7 +109,7 @@ def test_piecewise_kpp_ratio_nonincreasing_on_fine_grid():
 
 
 def test_piecewise_reaction_linear_near_zero_outside_blend():
-    r = Reaction.piecewise_kpp(0.5, 1.0, 0.3, 10.0)
+    r = PiecewiseKPP(0.5, 1.0, 0.3, 10.0)
     u = np.linspace(0.0, 0.3, 50)
     assert np.allclose(r.evaluate(np.full_like(u, 15.0), u), 1.0 * u, rtol=0, atol=1e-15)
     assert np.allclose(r.evaluate(np.full_like(u, -15.0), u), 0.5 * u, rtol=0, atol=1e-15)
@@ -106,7 +118,7 @@ def test_piecewise_reaction_linear_near_zero_outside_blend():
 
 
 def test_piecewise_coefficient_exactly_constant_outside_radius():
-    c = CoefficientField.piecewise(0.7, 1.3, 5.0)
+    c = Piecewise(0.7, 1.3, 5.0)
     assert np.all(c.evaluate(np.linspace(5.0, 30.0, 10)) == 1.3)
     assert np.all(c.evaluate(np.linspace(-30.0, -5.0, 10)) == 0.7)
     inside = c.evaluate(np.linspace(-5.0, 5.0, 10))
@@ -115,7 +127,7 @@ def test_piecewise_coefficient_exactly_constant_outside_radius():
 
 def test_make_initial_gaussian_values():
     grid = Grid.centered(10.0, 0.5, 1)
-    u0 = make_initial(InitialCondition.gaussian(1.0, 1.0), grid)
+    u0 = make_initial(Gaussian(1.0, 1.0), grid)
     x = grid.axis(0)
     assert u0.values[np.argmin(np.abs(x))] == pytest.approx(1.0)
     assert u0.values[np.argmin(np.abs(x - 2.0))] == pytest.approx(np.exp(-4.0))
@@ -123,7 +135,7 @@ def test_make_initial_gaussian_values():
 
 def test_make_initial_exponential_capped_at_one():
     grid = Grid.centered(10.0, 0.5, 1)
-    u0 = make_initial(InitialCondition.exponential(2.0, 1.0), grid)
+    u0 = make_initial(Exponential(2.0, 1.0), grid)
     x = grid.axis(0)
     assert u0.values[np.argmin(np.abs(x))] == 1.0
     assert np.max(u0.values) <= 1.0
@@ -131,7 +143,7 @@ def test_make_initial_exponential_capped_at_one():
 
 def test_make_initial_bump_vanishes_outside_support():
     grid = Grid.centered(10.0, 0.5, 1)
-    u0 = make_initial(InitialCondition.bump(1.0, 0.5), grid)
+    u0 = make_initial(Bump(1.0, 0.5), grid)
     x = grid.axis(0)
     assert u0.values[np.argmin(np.abs(x - 1.5))] == 0.0
     assert u0.values[np.argmin(np.abs(x))] == 0.5
@@ -140,7 +152,7 @@ def test_make_initial_bump_vanishes_outside_support():
 def test_make_initial_rejects_all_zero():
     off_center = Grid(origin=(5.0,), npoints=(11,), h=1.0)
     with pytest.raises(ValueError):
-        make_initial(InitialCondition.bump(1.0, 1.0), off_center)
+        make_initial(Bump(1.0, 1.0), off_center)
 
 
 def test_problem_invariants():
@@ -148,15 +160,15 @@ def test_problem_invariants():
         Problem(
             dimension=1,
             half_width=5.0,  # must exceed the piecewise radius
-            coefficient=CoefficientField.piecewise(1.0, 1.0, 10.0),
-            reaction=Reaction.logistic(1.0),
-            initial=InitialCondition.bump(1.0, 1.0),
+            coefficient=Piecewise(1.0, 1.0, 10.0),
+            reaction=Logistic(1.0),
+            initial=Bump(1.0, 1.0),
         )
     with pytest.raises(ValueError):
         Problem(
             dimension=2,  # piecewise kinds are 1D
             half_width=50.0,
-            coefficient=CoefficientField.constant(1.0),
-            reaction=Reaction.piecewise_kpp(0.5, 1.0, 0.3, 10.0),
-            initial=InitialCondition.bump(1.0, 1.0),
+            coefficient=Constant(1.0),
+            reaction=PiecewiseKPP(0.5, 1.0, 0.3, 10.0),
+            initial=Bump(1.0, 1.0),
         )

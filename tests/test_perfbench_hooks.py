@@ -1,23 +1,34 @@
-"""The benchmark's tracer wraps kpplab functions by module attribute.
+"""The benchmark reads kpplab by module attribute, by object attribute and by
+the bytes of its artifacts.
 
-Renaming one of them would break only traced benchmark runs; this test makes
-it fail here instead. ``perfbench/spans.py`` is read as text and executed in
-a throwaway namespace, so nothing is imported from or written to ``perfbench/``.
+Renaming or changing one of these would break only benchmark runs; these
+tests make it fail here instead. Files under ``perfbench/`` are read as text
+(the Python ones executed in a throwaway namespace), so nothing is imported
+from or written to ``perfbench/``.
 """
+import hashlib
 import importlib
+import json
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from kpplab.cli import main
+from kpplab.config import KINDS, load_config
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+CONFIGS = ROOT / "configs"
 
 
-def load_spans() -> dict:
-    namespace = {"__name__": "perfbench_spans"}
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+def load(name: str) -> dict:
+    path = PERFBENCH / name
+    namespace = {"__name__": f"perfbench_{path.stem}"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
     return namespace
 
 
 def test_every_wrapped_attribute_exists():
-    spans = load_spans()
+    spans = load("spans.py")
     hooks = [(module, attr) for module, attr, _name, _hook in spans["WRAPS"]]
     hooks.append(tuple(spans["POOL_TASK"].split(".")))
     missing = [
@@ -26,3 +37,34 @@ def test_every_wrapped_attribute_exists():
         if not callable(getattr(importlib.import_module(f"kpplab.{module}"), attr, None))
     ]
     assert hooks and not missing, missing
+
+
+def test_far_field_reads_each_pinned_problem():
+    far_field = load("checks.py")["_far_field"]
+    for path in sorted(CONFIGS.glob("*.json")):
+        data = json.loads(path.read_text())["problem"]
+        coeff, reaction = data["coefficient"], data["reaction"]
+        problem = load_config(path).problem
+        assert problem.coefficient.kind == coeff["kind"], path.name
+        assert problem.reaction.kind == reaction["kind"], path.name
+        a = coeff.get("a_plus", coeff.get("value"))
+        assert far_field(problem) == (a, reaction.get("rate_plus", reaction.get("rate"))), path.name
+
+
+def test_every_kind_label_the_checks_compare_is_a_kind():
+    labels = set(re.findall(r'\.kind [!=]= "([^"]+)"', (PERFBENCH / "checks.py").read_text()))
+    kinds = {kind for table in KINDS.values() for kind in table}
+    assert labels and labels <= kinds, labels
+
+
+def test_pinned_1d_runs_match_the_benchmark_digests(tmp_path):
+    want = json.loads((PERFBENCH / "digests.json").read_text())["run-1d"]
+    for name in sorted({key.split("/")[0] for key in want}):
+        argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / name)]
+        assert main(argv) == 0, name
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert got == want

@@ -5,10 +5,11 @@ import pytest
 
 from kpplab.grids import Grid, GridFunction
 from kpplab.model import (
-    CoefficientField,
-    InitialCondition,
+    Constant,
+    Gaussian,
     Problem,
-    Reaction,
+    Sine,
+    Zero,
     homogeneous_kpp,
 )
 from kpplab.solver import (
@@ -27,9 +28,9 @@ def heat_problem(half_width=20.0, amplitude=0.8, beta=0.5):
     return Problem(
         dimension=1,
         half_width=half_width,
-        coefficient=CoefficientField.constant(1.0),
-        reaction=Reaction.zero(),
-        initial=InitialCondition.gaussian(amplitude, beta),
+        coefficient=Constant(1.0),
+        reaction=Zero(),
+        initial=Gaussian(amplitude, beta),
     )
 
 
@@ -205,7 +206,7 @@ def test_trajectory_times_strictly_increasing():
 
 def test_fundamental_solution_matches_heat_kernel():
     grid = Grid.centered(40.0, 0.05, 1)
-    res = fundamental_solution(CoefficientField.constant(1.0), [1.0], (0.0,), grid)
+    res = fundamental_solution(Constant(1.0), [1.0], (0.0,), grid)
     kernel = res.kernels[0]
     x = kernel.axis(0)
     exact = np.exp(-(x**2) / 4.0) / math.sqrt(4.0 * math.pi)
@@ -217,7 +218,7 @@ def test_fundamental_solution_matches_heat_kernel():
 
 def test_fundamental_solution_symmetry_in_source_and_target():
     grid = Grid.centered(40.0, 0.05, 1)
-    coeff = CoefficientField.sine(1.0, 0.5, 5.0)
+    coeff = Sine(1.0, 0.5, 5.0)
     k_from_0 = fundamental_solution(coeff, [1.0], (0.0,), grid).kernels[0]
     k_from_2 = fundamental_solution(coeff, [2.0 if False else 1.0], (2.0,), grid).kernels[0]
     x = k_from_0.axis(0)
@@ -229,7 +230,7 @@ def test_fundamental_solution_symmetry_in_source_and_target():
 def test_fundamental_solution_mass_guard():
     grid = Grid.centered(5.0, 0.05, 1)
     with pytest.raises(NumericalError):
-        fundamental_solution(CoefficientField.constant(1.0), [20.0], (0.0,), grid)
+        fundamental_solution(Constant(1.0), [20.0], (0.0,), grid)
 
 
 def test_halfline_solver_blowup_guard():
@@ -286,7 +287,7 @@ def test_halfline_solver_matches_textbook_stencil(a, lam):
 
 def test_two_dimensional_heat_preserves_mass_and_range():
     grid = Grid.centered(8.0, 0.2, 2)
-    res = fundamental_solution(CoefficientField.constant(1.0), [0.5, 1.0], (0.0, 0.0), grid)
+    res = fundamental_solution(Constant(1.0), [0.5, 1.0], (0.0, 0.0), grid)
     assert res.masses[-1] == pytest.approx(1.0, abs=1e-6)
     p = homogeneous_kpp(half_width=8.0, dimension=2)
     traj = solve(

@@ -17,7 +17,19 @@ from hypothesis import strategies as st
 
 from kpplab.config import load_config
 from kpplab.grids import Grid, GridFunction
-from kpplab.model import CoefficientField, InitialCondition, Problem, Reaction, homogeneous_kpp
+from kpplab.model import (
+    Constant,
+    Gaussian,
+    Logistic,
+    Piecewise,
+    PiecewiseKPP,
+    Problem,
+    Reaction,
+    Separable,
+    Sine,
+    Zero,
+    homogeneous_kpp,
+)
 from kpplab.solver import (
     MAXPRINCIPLE_TOL,
     SolverConfig,
@@ -85,24 +97,24 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 
 COEFFICIENTS = st.one_of(
-    st.just(CoefficientField.constant(1.0)),
-    st.floats(0.2, 3.0).map(CoefficientField.constant),
+    st.just(Constant(1.0)),
+    st.floats(0.2, 3.0).map(Constant),
     st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 0.4), st.floats(0.5, 4.0)).map(
-        lambda b: CoefficientField.sine(b[0], b[0] * b[1], b[2])
+        lambda b: Sine(b[0], b[0] * b[1], b[2])
     ),
     st.builds(
-        CoefficientField.piecewise, st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.2, 2.0)
+        Piecewise, st.floats(0.3, 2.0), st.floats(0.3, 2.0), st.floats(0.2, 2.0)
     ),
 )
 
 REACTIONS = st.one_of(
-    st.just(Reaction.zero()),
-    st.floats(0.1, 50.0).map(Reaction.logistic),
+    st.just(Zero()),
+    st.floats(0.1, 50.0).map(Logistic),
     st.floats(0.1, 5.0).map(
-        lambda r: Reaction.separable(lambda x: r * (1.5 + np.cos(x)), lambda u: u * (1.0 - u))
+        lambda r: Separable(lambda x: r * (1.5 + np.cos(x)), lambda u: u * (1.0 - u), 1.0)
     ),
     st.builds(
-        Reaction.piecewise_kpp,
+        PiecewiseKPP,
         st.floats(0.1, 5.0),
         st.floats(0.1, 5.0),
         st.floats(0.1, 0.9),
@@ -153,7 +165,7 @@ def test_stepper_is_freed_without_the_cycle_collector():
     try:
         for dim in (1, 2):
             grid = Grid.centered(2.0, 0.5, dim)
-            stepper = _Stepper(CoefficientField.constant(1.0), Reaction.logistic(1.0), grid)
+            stepper = _Stepper(Constant(1.0), Logistic(1.0), grid)
             stepper.step_explicit(np.zeros(stepper.grid.npoints), stepper.auto_dt())
             ref = weakref.ref(stepper)
             del stepper
@@ -179,16 +191,16 @@ def test_auto_dt_of_pinned_configs_is_unchanged():
 
 def test_monotone_bound_sees_the_reaction_on_the_whole_grid():
     # r is 10 only beyond |x| = 150, outside any fixed sampling window
-    reaction = Reaction.separable(
-        lambda x: np.where(np.abs(x) > 150.0, 10.0, 1.0), lambda u: u * (1.0 - u)
+    reaction = Separable(
+        lambda x: np.where(np.abs(x) > 150.0, 10.0, 1.0), lambda u: u * (1.0 - u), 1.0
     )
     h = 0.5
-    stepper = _Stepper(CoefficientField.constant(1.0), reaction, Grid.centered(200.0, h, 1))
-    # sup |r g'| is 10; g' is sampled by secants, which read 1 - 1/255 here,
-    # while a [-100, 100] window for r would give about 1
-    assert stepper.lipschitz > 9.9
+    stepper = _Stepper(Constant(1.0), reaction, Grid.centered(200.0, h, 1))
+    # sup |r g'| is 10 with sup |g'| = 1 declared; a [-100, 100] window for r
+    # would give 1
+    assert stepper.lipschitz >= 10.0
     for dt in (stepper.auto_dt(), stepper.monotone_dt()):
-        assert dt * (2.0 / h**2 + 9.9) <= 1.0
+        assert dt * (2.0 / h**2 + 10.0) <= 1.0
 
 
 def test_step_leaves_its_input_unchanged():
@@ -234,7 +246,7 @@ def test_solve_keeps_initial_state_and_snapshots_apart():
 
 def test_kernel_and_halfline_snapshots_share_no_memory():
     grid = Grid.centered(10.0, 0.1, 1)
-    res = fundamental_solution(CoefficientField.constant(1.0), [0.1, 0.2, 0.3], (0.0,), grid)
+    res = fundamental_solution(Constant(1.0), [0.1, 0.2, 0.3], (0.0,), grid)
     assert_no_shared_memory(k.values for k in res.kernels)
     grid = Grid.halfline(10.0, 0.1)
     v0 = GridFunction(np.where(grid.axis(0) <= 1.0, 1.0, 0.0), grid.h, grid.origin)
@@ -271,9 +283,9 @@ def test_discrete_comparison_and_maximum_principles(dim, rate, a, h, level, spre
     p = Problem(
         dimension=dim,
         half_width=6 * h,
-        coefficient=CoefficientField.constant(a),
-        reaction=Reaction.logistic(rate),
-        initial=InitialCondition.gaussian(1.0, 1.0),
+        coefficient=Constant(a),
+        reaction=Logistic(rate),
+        initial=Gaussian(1.0, 1.0),
     )
     grid = Grid.centered(p.half_width, h, dim)
     # dt*(2*dim*a/h^2 + L) = 1 exactly, up to rounding
