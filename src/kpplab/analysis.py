@@ -16,7 +16,7 @@ import numpy as np
 
 from .grids import GridFunction, level_crossings
 from .kernels import HalfLineParams, sign_region_x, t0_threshold
-from .solver import Trajectory, solve_linear_halfline
+from .solver import Snapshot, Trajectory, solve_linear_halfline
 
 ORDER_TOL = 1e-10
 ZERO_FLOOR = 1e-300
@@ -24,6 +24,10 @@ ZERO_FLOOR = 1e-300
 # rhs is as meaningless as in the sub-1e-300 zero region; such saturated cells
 # are excluded from strict sign checks.
 ONE_FLOOR = 1e-10
+TAIL_TOL = 1e-3  # the inf-rhs curve must end within this of 0
+HALFLINE_MARGIN = 5.0  # half-line sign checks stay this far from the truncation
+HARNACK_T_MIN = 1.0  # first snapshot time of a Harnack pair
+HARNACK_FLOOR = 1e-12  # smallest u(t,x) that enters a Harnack ratio
 
 
 class LevelNotCrossedError(ValueError):
@@ -52,19 +56,13 @@ def spreading_speed(
     window: tuple[float, float],
     side: str = "right",
 ) -> float:
-    """Least-squares slope of the level position over the time window."""
-    ts, xs = [], []
-    for snap in traj:
-        if window[0] - 1e-9 <= snap.t <= window[1] + 1e-9:
-            try:
-                xs.append(level_position(snap.u, level, side))
-                ts.append(snap.t)
-            except LevelNotCrossedError:
-                continue
-    if len(ts) < 5:
-        raise ValueError(f"need >= 5 crossings in the window, found {len(ts)}.")
-    slope = np.polyfit(ts, xs, 1)[0]
-    return float(slope)
+    """Least-squares slope of the level curve over the time window."""
+    lo, hi = window[0] - 1e-9, window[1] + 1e-9
+    points = [(t, x) for t, x in level_curve(traj, level, side) if lo <= t <= hi]
+    if len(points) < 5:
+        raise ValueError(f"need >= 5 crossings in the window, found {len(points)}.")
+    ts, xs = zip(*points)
+    return float(np.polyfit(ts, xs, 1)[0])
 
 
 def level_curve(traj: Trajectory, level: float, side: str = "right") -> list[tuple[float, float]]:
@@ -84,8 +82,14 @@ def _holds_from(ok: np.ndarray) -> Optional[int]:
     return int(hit[0]) if hit.size else None
 
 
-def find_T_monotone(traj: Trajectory, tol: float = ORDER_TOL) -> float:
-    """Smallest snapshot shift T with u(1+t,.) >= u(1,.) - tol for every
+def _settles_at(times: np.ndarray, ok: np.ndarray) -> float:
+    """First time from which ``ok`` holds at every later entry; +inf sentinel."""
+    i = _holds_from(ok)
+    return math.inf if i is None else float(times[i])
+
+
+def find_T_monotone(traj: Trajectory) -> float:
+    """Smallest snapshot shift T with u(1+t,.) >= u(1,.) - ORDER_TOL for every
     snapshot shift t >= T; +inf sentinel when no shift qualifies."""
     try:
         base = traj.snapshot_at(1.0)
@@ -94,14 +98,13 @@ def find_T_monotone(traj: Trajectory, tol: float = ORDER_TOL) -> float:
     later = [s for s in traj if s.t > 1.0 + 1e-12]
     if not later:
         return math.inf
-    ok = np.array([float(np.min(s.u.values - base.u.values)) >= -tol for s in later])
-    i = _holds_from(ok)
-    return math.inf if i is None else float(later[i].t - 1.0)
+    ok = np.array([float(np.min(s.u.values - base.u.values)) >= -ORDER_TOL for s in later])
+    return _settles_at(np.array([s.t for s in later]), ok) - 1.0
 
 
-def estimate_tau_star(traj: Trajectory, t_floor: float, tol: float = ORDER_TOL) -> float:
-    """Smallest comb shift tau with u(t+tau',.) >= u(t,.) - tol for every comb
-    shift tau' >= tau and every comb time t >= t_floor; +inf sentinel."""
+def estimate_tau_star(traj: Trajectory, t_floor: float) -> float:
+    """Smallest comb shift tau with u(t+tau',.) >= u(t,.) - ORDER_TOL for every
+    comb shift tau' >= tau and every comb time t >= t_floor; +inf sentinel."""
     comb = [s for s in traj if s.t >= t_floor - 1e-9]
     if len(comb) < 20:
         raise ValueError(f"time comb too coarse after t_floor: {len(comb)} < 20 snapshots.")
@@ -116,7 +119,7 @@ def estimate_tau_star(traj: Trajectory, t_floor: float, tol: float = ORDER_TOL) 
     ordered[0] = True
     for j in range(1, m):
         diff = fields[j:] - fields[: m - j]
-        ordered[j] = bool(np.min(diff) >= -tol)
+        ordered[j] = bool(np.min(diff) >= -ORDER_TOL)
     j = _holds_from(ordered)
     return math.inf if j is None else float(max(j, 1) * delta)
 
@@ -125,7 +128,6 @@ def estimate_tau_star(traj: Trajectory, t_floor: float, tol: float = ORDER_TOL) 
 class ClauseVerdict:
     passed: bool
     detail: str
-    checked_times: tuple[float, ...]
 
 
 @dataclass
@@ -138,11 +140,10 @@ class MonotonicityCertificate:
     inf_ut_curve: list[tuple[float, float]]
     verdicts: dict[str, ClauseVerdict]
     margin: float
-    zero_floor: float
 
     def to_text(self) -> str:
         lines = ["monotonicity certificate"]
-        lines.append(f"  boundary margin: {self.margin:g}   zero floor: {self.zero_floor:g}")
+        lines.append(f"  boundary margin: {self.margin:g}   zero floor: {ZERO_FLOOR:g}")
         if self.T_mono is not None:
             lines.append(f"  T_mono (shift past t=1): {self.T_mono:g}")
         if self.tau_star_estimate is not None:
@@ -158,9 +159,23 @@ class MonotonicityCertificate:
         return "\n".join(lines)
 
 
-def _sign_masks(snap, margin: float, zero_floor: float, one_floor: float) -> np.ndarray:
-    mask = snap.u.interior_mask(margin)
-    return mask & (snap.u.values >= zero_floor) & (snap.u.values <= 1.0 - one_floor)
+def _reliable(snap: Snapshot, margin: float) -> np.ndarray:
+    """Cells where the sign of the rhs means something: at least ``margin``
+    from the truncation, above the zero floor and below the saturation floor."""
+    u = snap.u.values
+    return snap.u.interior_mask(margin) & (u >= ZERO_FLOOR) & (u <= 1.0 - ONE_FLOOR)
+
+
+def _positive_above(snap: Snapshot, reliable: np.ndarray, eps: float) -> bool:
+    """rhs > 0 at every reliable cell with u >= eps (true when none qualifies)."""
+    return bool(np.all(snap.rhs.values[reliable & (snap.u.values >= eps)] > 0.0))
+
+
+def _snapshots_with_rhs(traj: Trajectory) -> list[Snapshot]:
+    snaps = list(traj)
+    if any(s.rhs is None for s in snaps):
+        raise ValueError("trajectory snapshots carry no rhs fields.")
+    return snaps
 
 
 def monotonicity_report(
@@ -168,46 +183,37 @@ def monotonicity_report(
     eps_list: Sequence[float],
     t_floor: Optional[float] = None,
     margin: float = 1.0,
-    zero_floor: float = ZERO_FLOOR,
-    one_floor: float = ONE_FLOOR,
-    tail_tolerance: float = 1e-3,
 ) -> MonotonicityCertificate:
     """For each eps: first snapshot time after which rhs > 0 wherever
     u >= eps, verified on all later snapshots; plus the inf-rhs curve."""
-    snaps = list(traj)
-    if any(s.rhs is None for s in snaps):
-        raise ValueError("trajectory snapshots carry no rhs fields.")
+    snaps = _snapshots_with_rhs(traj)
     times = np.array([s.t for s in snaps])
 
     # On the whole space inf_x u_t <= 0 for every t (u_t -> 0 at infinity), so
     # the truncated proxy includes that limit: the curve is the nonpositive
     # part of the masked minimum, 0 when the rhs is positive everywhere.
     inf_curve: list[tuple[float, float]] = []
-    for s in snaps:
-        m = _sign_masks(s, margin, zero_floor, one_floor)
+    ok = np.empty((len(eps_list), len(snaps)), dtype=bool)
+    for i, s in enumerate(snaps):
+        m = _reliable(s, margin)
         inf_curve.append((s.t, min(0.0, float(np.min(s.rhs.values[m]))) if m.any() else 0.0))
+        for k, eps in enumerate(eps_list):
+            ok[k, i] = _positive_above(s, m, eps)
 
     verdicts: dict[str, ClauseVerdict] = {}
     T_eps: dict[float, float] = {}
-    for eps in eps_list:
-        ok = np.empty(len(snaps), dtype=bool)
-        for i, s in enumerate(snaps):
-            qualify = _sign_masks(s, margin, zero_floor, one_floor) & (s.u.values >= eps)
-            ok[i] = bool(np.all(s.rhs.values[qualify] > 0.0)) if qualify.any() else True
-        i = _holds_from(ok)
-        T = math.inf if i is None else float(times[i])
+    for eps, ok_eps in zip(eps_list, ok):
+        T = _settles_at(times, ok_eps)
         T_eps[float(eps)] = T
         verdicts[f"sign_above_{eps:g}"] = ClauseVerdict(
             passed=math.isfinite(T),
             detail=f"T_eps={T:g}" if math.isfinite(T) else "no qualifying time in the run",
-            checked_times=tuple(float(t) for t in times),
         )
 
     tail = abs(inf_curve[-1][1])
     verdicts["inf_rhs_tail"] = ClauseVerdict(
-        passed=tail <= tail_tolerance,
-        detail=f"|inf rhs|({times[-1]:g}) = {tail:.3e} vs {tail_tolerance:g}",
-        checked_times=(float(times[-1]),),
+        passed=tail <= TAIL_TOL,
+        detail=f"|inf rhs|({times[-1]:g}) = {tail:.3e} vs {TAIL_TOL:g}",
     )
 
     T_mono: Optional[float] = None
@@ -229,30 +235,22 @@ def monotonicity_report(
         inf_ut_curve=inf_curve,
         verdicts=verdicts,
         margin=margin,
-        zero_floor=zero_floor,
     )
 
 
 @dataclass
 class GlobalSignCertificate:
     tau_global: float
-    checked_times: tuple[float, ...]
-    margin: float
-    zero_floor: float
 
     @property
     def passed(self) -> bool:
         return math.isfinite(self.tau_global)
 
 
-def global_sign_report(
-    traj: Trajectory,
-    margin: float = 1.0,
-    zero_floor: float = ZERO_FLOOR,
-    one_floor: float = ONE_FLOOR,
-) -> GlobalSignCertificate:
-    """Smallest snapshot time after which rhs > 0 at every cell above the
-    zero floor (inside the reliable window), for all later snapshots.
+def global_sign_report(traj: Trajectory, margin: float = 1.0) -> GlobalSignCertificate:
+    """Smallest positive snapshot time after which rhs > 0 at every reliable
+    cell, for all later snapshots: the sign test of ``monotonicity_report``
+    at eps = 0.
 
     Only valid for the 1D class: reaction piecewise with linear pieces near 0
     and coefficient exactly constant for large |x|.
@@ -268,24 +266,10 @@ def global_sign_report(
         raise HypothesisMismatchError(
             "global sign certificate requires a coefficient constant for large |x|."
         )
-    snaps = list(traj)
-    if any(s.rhs is None for s in snaps):
-        raise ValueError("trajectory snapshots carry no rhs fields.")
-    times = np.array([s.t for s in snaps])
-    ok = np.empty(len(snaps), dtype=bool)
-    for i, s in enumerate(snaps):
-        m = _sign_masks(s, margin, zero_floor, one_floor)
-        ok[i] = bool(np.all(s.rhs.values[m] > 0.0)) if m.any() else True
-    i = _holds_from(ok)
     # t=0 carries the raw initial datum; the statement concerns t >= tau > 0
-    hits = [] if i is None else [t for t in times[i:] if t > 1e-12]
-    tau = float(hits[0]) if hits else math.inf
-    return GlobalSignCertificate(
-        tau_global=tau,
-        checked_times=tuple(float(t) for t in times),
-        margin=margin,
-        zero_floor=zero_floor,
-    )
+    snaps = [s for s in _snapshots_with_rhs(traj) if s.t > 1e-12]
+    ok = np.array([_positive_above(s, _reliable(s, margin), 0.0) for s in snaps], dtype=bool)
+    return GlobalSignCertificate(tau_global=_settles_at(np.array([s.t for s in snaps]), ok))
 
 
 def two_sided_t0(rate_minus: float, rate_plus: float) -> float:
@@ -297,12 +281,7 @@ def two_sided_t0(rate_minus: float, rate_plus: float) -> float:
 
 
 def harnack_shift_check(
-    traj: Trajectory,
-    T0: float,
-    a_plus: float,
-    a_minus: float,
-    t_min: float = 1.0,
-    floor: float = 1e-12,
+    traj: Trajectory, T0: float, a_plus: float, a_minus: float
 ) -> tuple[float, int]:
     """Empirical Harnack-type constant: smallest ratio
     u(t+T0, x±sqrt(8a±T0)) / u(t,x) over sampled snapshot pairs.
@@ -310,9 +289,9 @@ def harnack_shift_check(
     T0 is rounded to the nearest snapshot spacing and the space shifts to
     whole cells. Returns (fitted C, number of sampled pairs).
     """
-    snaps = [s for s in traj if s.t >= t_min - 1e-9]
+    snaps = [s for s in traj if s.t >= HARNACK_T_MIN - 1e-9]
     if len(snaps) < 2:
-        raise ValueError("not enough snapshots past t_min.")
+        raise ValueError(f"not enough snapshots past t={HARNACK_T_MIN:g}.")
     times = np.array([s.t for s in snaps])
     h = snaps[0].u.h
     n = snaps[0].u.values.size
@@ -333,7 +312,7 @@ def harnack_shift_check(
             else:
                 base = u_now[shift:]
                 moved = u_later[: n - shift]
-            keep = base >= floor
+            keep = base >= HARNACK_FLOOR
             if keep.any():
                 c_fit = min(c_fit, float(np.min(moved[keep] / base[keep])))
                 pairs += 1
@@ -347,9 +326,6 @@ class HalflineSignVerdict:
     passed: bool
     n_checked: int
     min_rhs: float
-    violations: list[tuple[float, float, float]]  # (t, x, rhs)
-    t0: float
-    mirrored: bool = False
 
 
 def halfline_sign_verify(
@@ -357,17 +333,10 @@ def halfline_sign_verify(
     v0: GridFunction,
     g: Callable[[float], float],
     t_grid: Sequence[float],
-    margin: float = 5.0,
-    zero_floor: float = ZERO_FLOOR,
-    mirrored: bool = False,
 ) -> HalflineSignVerdict:
     """Solve the half-line boundary value problem numerically and assert
     rhs > 0 at all sampled (t, x) with t >= t0 and x >= sqrt(8 a t), inside
-    the reliable window (margin away from the truncation).
-
-    ``mirrored=True`` runs the reflected problem on x <= 0 via x -> -x; the
-    verdict is identical by the change of variable.
-    """
+    the reliable window (HALFLINE_MARGIN away from the truncation)."""
     if np.min(v0.values) < 0:
         raise ValueError("v0 must be nonnegative.")
     if not np.any(v0.values > 0):
@@ -382,30 +351,18 @@ def halfline_sign_verify(
 
     sols = solve_linear_halfline(pp.a, pp.lam_lin, v0, g, t_grid)
     x = v0.axis(0)
-    x_hi = x[-1] - margin
+    x_hi = x[-1] - HALFLINE_MARGIN
     n_checked = 0
     min_rhs = math.inf
-    violations: list[tuple[float, float, float]] = []
     for t, v, rhs in sols:
         if t < t0 - 1e-12:
             continue
-        region = (x >= sign_region_x(pp, t)) & (x <= x_hi) & (v.values >= zero_floor)
+        region = (x >= sign_region_x(pp, t)) & (x <= x_hi) & (v.values >= ZERO_FLOOR)
         region[0] = region[-1] = False
         vals = rhs.values[region]
         n_checked += int(vals.size)
         if vals.size:
-            m = float(np.min(vals))
-            min_rhs = min(min_rhs, m)
-            if m <= 0:
-                for xi, ri in zip(x[region][vals <= 0], vals[vals <= 0]):
-                    violations.append((t, float(xi) * (-1 if mirrored else 1), float(ri)))
+            min_rhs = min(min_rhs, float(np.min(vals)))
     if n_checked == 0:
         raise ValueError("no sample points fall in the guaranteed region.")
-    return HalflineSignVerdict(
-        passed=not violations,
-        n_checked=n_checked,
-        min_rhs=min_rhs,
-        violations=violations,
-        t0=t0,
-        mirrored=mirrored,
-    )
+    return HalflineSignVerdict(passed=min_rhs > 0, n_checked=n_checked, min_rhs=min_rhs)

@@ -118,9 +118,9 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
                     ev.S_after,
                     ev.mass_before,
                     ev.mass_after,
-                    ev.boundary_rhs_min if ev.boundary_rhs_min is not None else math.nan,
-                    ev.dS_sign_next if ev.dS_sign_next is not None else 0,
-                    ev.dmass_sign_next if ev.dmass_sign_next is not None else 0,
+                    ev.boundary_rhs_min,
+                    ev.dS_sign_next,
+                    ev.dmass_sign_next,
                     int(ev.grazing),
                 )
                 for ev in proto.events
@@ -132,11 +132,9 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
                 beta=ev.beta,
                 sigma=setup.schedule.sigma_img,
                 t0=ev.t0,
-                dS_sign=ev.dS_sign_next if ev.dS_sign_next is not None else 0,
-                dmass_sign=ev.dmass_sign_next if ev.dmass_sign_next is not None else 0,
-                boundary_rhs_min=ev.boundary_rhs_min
-                if ev.boundary_rhs_min is not None
-                else math.nan,
+                dS_sign=ev.dS_sign_next,
+                dmass_sign=ev.dmass_sign_next,
+                boundary_rhs_min=ev.boundary_rhs_min,
             )
         metrics["S_final"] = proto.series[-1].S
         metrics["mass_final"] = proto.series[-1].mass

@@ -20,6 +20,18 @@ from .model import CoefficientField
 from .solver import fundamental_solution
 
 KERNEL_FLOOR = 1e-12
+# Aronson sandwich constants are bisected to ARONSON_TOL, giving up above ARONSON_K_MAX.
+ARONSON_TOL = 1e-3
+ARONSON_K_MAX = 1e6
+# The sampled part of the guaranteed region of G_t: every (a, lam) pair,
+# SCAN_N_T times in SCAN_T_SPAN * t0, SCAN_N_X points in
+# [sqrt(8at), sqrt(8at) + SCAN_X_OFFSET] and SCAN_N_Y points in (0, SCAN_Y_MAX].
+SCAN_A = (0.5, 1.0, 2.0)
+SCAN_LAM = (0.5, 1.0, 2.0)
+SCAN_N_T, SCAN_N_X, SCAN_N_Y = 20, 50, 100
+SCAN_T_SPAN = (1.0, 5.0)
+SCAN_X_OFFSET = 10.0
+SCAN_Y_MAX = 20.0
 
 
 @dataclass(frozen=True)
@@ -97,15 +109,9 @@ def sign_region_x(pp: HalfLineParams, t: float) -> float:
     return math.sqrt(8.0 * pp.a * t)
 
 
-def halfline_quadrature(
-    pp: HalfLineParams, v0: GridFunction, t: float, richardson: bool = False
-) -> GridFunction:
+def halfline_quadrature(pp: HalfLineParams, v0: GridFunction, t: float) -> GridFunction:
     """Trapezoid quadrature of the Green representation of the Dirichlet part:
-    w(t,x) = integral of G(t,x,y) v0(y) dy over the truncated half-line.
-
-    ``richardson=True`` extrapolates against the double-spacing trapezoid rule
-    on the same samples (requires an even cell count).
-    """
+    w(t,x) = integral of G(t,x,y) v0(y) dy over the truncated half-line."""
     if v0.dim != 1 or abs(v0.origin[0]) > 1e-12:
         raise ValueError("v0 must live on a half-line grid starting at 0.")
     vals = v0.values
@@ -115,20 +121,10 @@ def halfline_quadrature(
         warnings.warn("v0 support touches the truncation edge.", RuntimeWarning, stacklevel=2)
     y = v0.axis(0)
     G = half_line_green(pp, t, y[:, None], y[None, :])  # G[i,j] = G(t, x_i, y_j)
-
-    def trapezoid(sub: slice, h: float) -> np.ndarray:
-        weights = np.full(y[sub].size, h)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        return G[:, sub] @ (weights * vals[sub])
-
-    w = trapezoid(slice(None), v0.h)
-    if richardson:
-        if (y.size - 1) % 2:
-            raise ValueError("richardson refinement needs an even cell count.")
-        coarse = trapezoid(slice(None, None, 2), 2.0 * v0.h)
-        w = (4.0 * w - coarse) / 3.0
-    return v0.with_values(w)
+    weights = np.full(y.size, v0.h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return v0.with_values(G @ (weights * vals))
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,6 @@ class GreenScanResult:
     n_points: int
     n_violations: int
     min_value: float
-    worst: tuple[float, float, float, float, float]  # (a, lam, t, x, y)
     rows: Optional[list[tuple[float, ...]]] = None
 
     @property
@@ -144,42 +139,28 @@ class GreenScanResult:
         return self.n_violations == 0
 
 
-def scan_green_dt_region(
-    a_values: Sequence[float] = (0.5, 1.0, 2.0),
-    lam_values: Sequence[float] = (0.5, 1.0, 2.0),
-    n_t: int = 20,
-    n_x: int = 50,
-    n_y: int = 100,
-    t_span: tuple[float, float] = (1.0, 5.0),
-    x_offset: float = 10.0,
-    y_max: float = 20.0,
-    keep_rows: bool = False,
-) -> GreenScanResult:
+def scan_green_dt_region(keep_rows: bool = False) -> GreenScanResult:
     """Scan G_t over the guaranteed region t in [t0, 5 t0], x in
     [sqrt(8at), sqrt(8at)+10], y in (0, 20]; counts sign violations."""
     n_points = 0
     n_viol = 0
     min_val = math.inf
-    worst = (math.nan,) * 5
     rows: list[tuple[float, ...]] = []
-    ys = np.linspace(y_max / n_y, y_max, n_y)
-    for a in a_values:
-        for lam in lam_values:
+    ys = np.linspace(SCAN_Y_MAX / SCAN_N_Y, SCAN_Y_MAX, SCAN_N_Y)
+    for a in SCAN_A:
+        for lam in SCAN_LAM:
             pp = HalfLineParams(a, lam)
             t0 = t0_threshold(pp)
-            for t in np.linspace(t_span[0] * t0, t_span[1] * t0, n_t):
+            for t in np.linspace(SCAN_T_SPAN[0] * t0, SCAN_T_SPAN[1] * t0, SCAN_N_T):
                 x_lo = sign_region_x(pp, t)
-                xs = np.linspace(x_lo, x_lo + x_offset, n_x)
+                xs = np.linspace(x_lo, x_lo + SCAN_X_OFFSET, SCAN_N_X)
                 vals = half_line_green_dt(pp, float(t), xs[:, None], ys[None, :])
                 n_points += vals.size
                 n_viol += int(np.count_nonzero(vals <= 0))
-                i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-                if vals[i, j] < min_val:
-                    min_val = float(vals[i, j])
-                    worst = (a, lam, float(t), float(xs[i]), float(ys[j]))
+                min_val = min(min_val, float(np.min(vals)))
                 if keep_rows:
-                    for ii in range(0, n_x, max(1, n_x // 5)):
-                        for jj in range(0, n_y, max(1, n_y // 5)):
+                    for ii in range(0, SCAN_N_X, max(1, SCAN_N_X // 5)):
+                        for jj in range(0, SCAN_N_Y, max(1, SCAN_N_Y // 5)):
                             rows.append(
                                 (
                                     a,
@@ -195,7 +176,6 @@ def scan_green_dt_region(
         n_points=n_points,
         n_violations=n_viol,
         min_value=min_val,
-        worst=worst,
         rows=rows if keep_rows else None,
     )
 
@@ -208,11 +188,8 @@ class AronsonFit:
 
     K: float
     K_gaussian: float
-    x_max: float
-    times: tuple[float, ...]
     floor: float
     n_points: int
-    witness: tuple[float, float]  # (t, distance) of the tightest constraint
 
     def __post_init__(self) -> None:
         if self.K < 1.0:
@@ -221,6 +198,15 @@ class AronsonFit:
 
 class AronsonFitError(RuntimeError):
     """No finite sandwich constant certifies the bounds on the window."""
+
+
+def _radial(gf: GridFunction, center) -> tuple[np.ndarray, np.ndarray]:
+    """First coordinate and distance from ``center`` of every grid point."""
+    if gf.dim == 1:
+        x = gf.axis(0)
+        return x, np.abs(x - center[0])
+    X, Y = gf.points()
+    return X, np.sqrt((X - center[0]) ** 2 + (Y - center[1]) ** 2)
 
 
 def _collect_kernel_samples(
@@ -232,11 +218,7 @@ def _collect_kernel_samples(
     ts, ds, ps = [], [], []
     src = np.atleast_1d(np.asarray(source, dtype=float))
     for t, gf in kernels:
-        if gf.dim == 1:
-            d = np.abs(gf.axis(0) - src[0])
-        else:
-            X, Y = gf.points()
-            d = np.sqrt((X - src[0]) ** 2 + (Y - src[1]) ** 2)
+        _, d = _radial(gf, src)
         keep = (d <= x_max) & (gf.values >= floor)
         ts.append(np.full(int(np.count_nonzero(keep)), t))
         ds.append(d[keep].ravel())
@@ -249,16 +231,25 @@ def _collect_kernel_samples(
     return t, d, p
 
 
-def _bisect_smallest(feasible, k_lo: float, k_hi_start: float, tol: float, k_max: float) -> float:
-    hi = k_hi_start
+def _smallest_sandwich(scale: float, norm: np.ndarray, d2t: np.ndarray, logp: np.ndarray) -> float:
+    """Smallest K >= 1, to ARONSON_TOL, with
+    exp(-K d^2/(scale t))/K <= p e^norm <= K exp(-d^2/(scale K t))
+    at every sample, ``norm`` being the log of the normalization."""
+
+    def feasible(K: float) -> bool:
+        lower_ok = np.all(-K * d2t / scale - math.log(K) - norm <= logp + 1e-12)
+        upper_ok = np.all(logp <= math.log(K) - d2t / (scale * K) - norm + 1e-12)
+        return bool(lower_ok and upper_ok)
+
+    hi = 2.0
     while not feasible(hi):
         hi *= 2.0
-        if hi > k_max:
-            raise AronsonFitError(f"no sandwich constant below {k_max:g} fits the window.")
-    lo = k_lo
+        if hi > ARONSON_K_MAX:
+            raise AronsonFitError(f"no sandwich constant below {ARONSON_K_MAX:g} fits the window.")
+    lo = 1.0
     if feasible(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > ARONSON_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid
@@ -272,58 +263,28 @@ def fit_aronson_K(
     source,
     x_max: float,
     floor: float = KERNEL_FLOOR,
-    dim: int = 1,
-    tol: float = 1e-3,
-    k_max: float = 1e6,
 ) -> AronsonFit:
     """Fit the smallest K with
     exp(-K d^2/t)/(K t^(N/2)) <= p(t,x;y) <= K exp(-d^2/(K t))/t^(N/2)
-    at every included grid point (d = |x-y|), by bisection to ``tol``."""
+    at every included grid point (d = |x-y|, N the kernels' dimension), by
+    bisection to ARONSON_TOL; K_gaussian is the same fit with d^2/(4t) and
+    (4 pi t)^(N/2) in place of d^2/t and t^(N/2)."""
     t, d, p = _collect_kernel_samples(kernels, source, x_max, floor)
+    half_dim = kernels[0][1].dim / 2.0
     d2t = d**2 / t
-    tn = t ** (dim / 2.0)
     logp = np.log(p)
-
-    def feasible_literal(K: float) -> bool:
-        lower_ok = np.all(-K * d2t - math.log(K) - np.log(tn) <= logp + 1e-12)
-        upper_ok = np.all(logp <= math.log(K) - d2t / K - np.log(tn) + 1e-12)
-        return bool(lower_ok and upper_ok)
-
-    def feasible_gaussian(K: float) -> bool:
-        norm = np.log((4.0 * math.pi * t) ** (dim / 2.0))
-        lower_ok = np.all(-K * d2t / 4.0 - math.log(K) - norm <= logp + 1e-12)
-        upper_ok = np.all(logp <= math.log(K) - d2t / (4.0 * K) - norm + 1e-12)
-        return bool(lower_ok and upper_ok)
-
-    K = _bisect_smallest(feasible_literal, 1.0, 2.0, tol, k_max)
-    K_gauss = _bisect_smallest(feasible_gaussian, 1.0, 2.0, tol, k_max)
-
-    slack_lower = logp - (-K * d2t - math.log(K) - np.log(tn))
-    slack_upper = (math.log(K) - d2t / K - np.log(tn)) - logp
-    slack = np.minimum(slack_lower, slack_upper)
-    i = int(np.argmin(slack))
-    times = tuple(sorted(set(float(tt) for tt in t)))
-    return AronsonFit(
-        K=float(K),
-        K_gaussian=float(K_gauss),
-        x_max=x_max,
-        times=times,
-        floor=floor,
-        n_points=int(t.size),
-        witness=(float(t[i]), float(d[i])),
-    )
+    K = _smallest_sandwich(1.0, np.log(t**half_dim), d2t, logp)
+    K_gauss = _smallest_sandwich(4.0, np.log((4.0 * math.pi * t) ** half_dim), d2t, logp)
+    return AronsonFit(K=float(K), K_gaussian=float(K_gauss), floor=floor, n_points=int(t.size))
 
 
 @dataclass(frozen=True)
 class KernelRatioReport:
     """Outcome of the one-step kernel ratio check over a window."""
 
-    tau: float
-    sigma: float
     min_ratio: float
     passed: bool
     argmin_x: float
-    n_points: int
     constant_coeff_prediction: float
     rows: Optional[list[tuple[float, float, float, float]]] = None
 
@@ -336,7 +297,6 @@ def check_kernel_ratio(
     half_width: float = 40.0,
     h: float = 0.05,
     dim: int = 1,
-    floor: float = KERNEL_FLOOR,
     keep_rows: bool = False,
 ) -> KernelRatioReport:
     """Evolve the fundamental solution from a point mass at 0 and test
@@ -349,30 +309,21 @@ def check_kernel_ratio(
     origin = (0.0,) * dim
     result = fundamental_solution(coeff, [tau, tau + 1.0], origin, grid)
     p_tau, p_tau1 = result.kernels[0], result.kernels[1]
-    if dim == 1:
-        dist = np.abs(p_tau.axis(0))
-        coords = p_tau.axis(0)
-    else:
-        X, Y = p_tau.points()
-        dist = np.sqrt(X**2 + Y**2)
-        coords = X
-    keep = (dist <= x_max) & (p_tau.values >= floor) & (p_tau1.values >= floor)
+    x, dist = _radial(p_tau, origin)
+    keep = (dist <= x_max) & (p_tau.values >= KERNEL_FLOOR) & (p_tau1.values >= KERNEL_FLOOR)
     if not np.any(keep):
         raise AronsonFitError("window is empty after floor filtering.")
+    xs = x[keep]
     ratio = p_tau1.values[keep] / p_tau.values[keep]
     i = int(np.argmin(ratio))
     min_ratio = float(ratio[i])
     rows = None
     if keep_rows:
-        xs = coords[keep].ravel() if dim == 1 else coords[keep].ravel()
-        rows = [(tau, sigma, float(x), float(r)) for x, r in zip(xs, ratio.ravel())]
+        rows = [(tau, sigma, float(xi), float(r)) for xi, r in zip(xs, ratio)]
     return KernelRatioReport(
-        tau=tau,
-        sigma=sigma,
         min_ratio=min_ratio,
         passed=bool(min_ratio >= sigma),
-        argmin_x=float(coords[keep].ravel()[i]),
-        n_points=int(np.count_nonzero(keep)),
+        argmin_x=float(xs[i]),
         constant_coeff_prediction=(tau / (tau + 1.0)) ** (dim / 2.0),
         rows=rows,
     )

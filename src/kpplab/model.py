@@ -17,6 +17,7 @@ import numpy as np
 from .grids import Grid, GridFunction
 
 ZERO_TOL = 1e-12
+S0_WINDOW = 0.1  # the linear lower bound f(x,s) >= mu s is measured on s in (0, S0_WINDOW]
 
 
 class MalformedReactionError(ValueError):
@@ -90,6 +91,8 @@ class Sine(CoefficientField):
     def __post_init__(self) -> None:
         if self.base - abs(self.amplitude) <= 0:
             raise ValueError("sine coefficient must stay positive.")
+        if self.wavelength == 0:
+            raise ValueError("sine wavelength must be nonzero.")
 
     def evaluate(self, points) -> np.ndarray:
         x = np.asarray(_first_coord(points), dtype=float)
@@ -381,7 +384,7 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def validate_problem(p: Problem, n_samples: int = 64, s0_window: float = 0.1) -> HypothesisReport:
+def validate_problem(p: Problem, n_samples: int = 64) -> HypothesisReport:
     """Sample the hypotheses on the truncated domain and report constants.
 
     Raises :class:`MalformedReactionError` when f(x,0) or f(x,1) exceeds 1e-12,
@@ -389,8 +392,6 @@ def validate_problem(p: Problem, n_samples: int = 64, s0_window: float = 0.1) ->
     """
     if n_samples < 16:
         raise ValueError("need n_samples >= 16 in each of x and u.")
-    if not 0 < s0_window < 1:
-        raise ValueError("s0_window must lie in (0,1).")
 
     L = p.half_width
     xs = np.linspace(-L, L, n_samples)
@@ -441,7 +442,7 @@ def validate_problem(p: Problem, n_samples: int = 64, s0_window: float = 0.1) ->
 
     # (8) f(x,s) >= mu s on [0, s0]: mu measured on the window, slope at 0
     # certified by Richardson extrapolation of f(x,s)/s.
-    s0 = s0_window
+    s0 = S0_WINDOW
     ss = np.linspace(s0 / n_samples, s0, n_samples)
     Xs, Ss = np.meshgrid(xs, ss, indexing="ij")
     ratio8 = p.reaction.evaluate(Xs, Ss) / Ss
@@ -488,20 +489,16 @@ def make_initial(spec: InitialCondition, grid: Grid) -> GridFunction:
 
 
 def homogeneous_kpp(
-    half_width: float = 200.0,
-    rate: float = 1.0,
-    diffusivity: float = 1.0,
-    bump_radius: float = 1.0,
-    bump_height: float = 1.0,
-    dimension: int = 1,
+    half_width: float = 200.0, diffusivity: float = 1.0, dimension: int = 1
 ) -> Problem:
-    """Classical homogeneous KPP invasion problem with a compact bump."""
+    """Classical homogeneous KPP invasion problem: logistic rate 1 and a unit
+    bump of radius 1."""
     return Problem(
         dimension=dimension,
         half_width=half_width,
         coefficient=Constant(diffusivity),
-        reaction=Logistic(rate),
-        initial=Bump(bump_radius, bump_height),
+        reaction=Logistic(1.0),
+        initial=Bump(1.0, 1.0),
     )
 
 

@@ -25,6 +25,8 @@ from .model import CoefficientField, Constant, Problem, Reaction, Separable, Zer
 from .model import make_initial, validate_problem
 
 MAXPRINCIPLE_TOL = 1e-12
+SNAPSHOT_TOL = 1e-9  # how close a snapshot's time must be to the time asked for
+KERNEL_MASS_TOL = 1e-4  # largest drift of a fundamental solution's mass from 1
 
 
 class NumericalError(RuntimeError):
@@ -88,9 +90,9 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
-    def snapshot_at(self, t: float, tol: float = 1e-9) -> Snapshot:
+    def snapshot_at(self, t: float) -> Snapshot:
         for s in self.snapshots:
-            if abs(s.t - t) <= tol:
+            if abs(s.t - t) <= SNAPSHOT_TOL:
                 return s
         raise KeyError(f"no snapshot at t={t}.")
 
@@ -411,12 +413,11 @@ def fundamental_solution(
     t_targets: Sequence[float],
     y,
     grid: Grid,
-    mass_tolerance: float = 1e-4,
 ) -> KernelResult:
     """Evolve a unit point mass at grid point y under pure diffusion.
 
     The Dirac datum is one cell of value 1/h^dim, so the discrete mass is
-    exactly 1 at t=0; mass loss beyond mass_tolerance raises (truncation too
+    exactly 1 at t=0; mass loss beyond KERNEL_MASS_TOL raises (truncation too
     tight for the requested times).
     """
     t_targets = sorted(float(t) for t in t_targets)
@@ -439,9 +440,9 @@ def fundamental_solution(
         if mn < -1e-9 * max(1.0, float(np.max(state))):
             raise NumericalError(f"kernel positivity lost at t={t:.6g} (min {mn:.3e}).")
         mass = float(np.sum(state) * cell)
-        if abs(mass - 1.0) > mass_tolerance:
+        if abs(mass - 1.0) > KERNEL_MASS_TOL:
             raise NumericalError(
-                f"kernel mass {mass:.8f} drifted beyond {mass_tolerance:g} at t={t:.6g}; "
+                f"kernel mass {mass:.8f} drifted beyond {KERNEL_MASS_TOL:g} at t={t:.6g}; "
                 "boundary truncation too tight."
             )
         result.times.append(t)

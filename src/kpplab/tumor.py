@@ -19,6 +19,7 @@ from .model import Logistic, Problem
 from .solver import SolverConfig, Trajectory, discrete_rhs, solve
 
 GRAZING_SLOPE = 1e-10
+SUBCELLS = 8  # midpoint samples per axis of a 2D cell that the level set cuts
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def _observed_size_1d(values: np.ndarray, sigma: float, h: float) -> float:
     return size
 
 
-def _observed_size_2d(values: np.ndarray, sigma: float, h: float, nsub: int = 8) -> float:
+def _observed_size_2d(values: np.ndarray, sigma: float, h: float) -> float:
     above = values > sigma
     c00 = above[:-1, :-1]
     c10 = above[1:, :-1]
@@ -73,7 +74,7 @@ def _observed_size_2d(values: np.ndarray, sigma: float, h: float, nsub: int = 8)
     if mixed.any():
         # fraction above sigma of the bilinear interpolant, midpoint-sampled
         ii, jj = np.nonzero(mixed)
-        s = (np.arange(nsub) + 0.5) / nsub
+        s = (np.arange(SUBCELLS) + 0.5) / SUBCELLS
         S, T = np.meshgrid(s, s, indexing="ij")
         v00 = values[ii, jj][:, None, None]
         v10 = values[ii + 1, jj][:, None, None]
@@ -137,10 +138,10 @@ class EventDiagnostics:
     S_after: float
     mass_before: float
     mass_after: float
-    boundary_rhs_min: Optional[float]  # min post-treatment rhs on the new boundary
+    boundary_rhs_min: float  # min post-treatment rhs on the new boundary; nan without one
     grazing: bool
-    dS_sign_next: Optional[int] = None
-    dmass_sign_next: Optional[int] = None
+    dS_sign_next: int = 0  # signs of the change to the next comb point; 0 without one
+    dmass_sign_next: int = 0
 
 
 @dataclass
@@ -220,7 +221,7 @@ def run_protocol(p: Problem, sched: TreatmentSchedule, cfg: SolverConfig) -> Pro
         if post_u.dim == 1 and crossings.size:
             boundary_rhs_min = float(np.min(_interp_at(post_rhs, crossings)))
         else:
-            boundary_rhs_min = None
+            boundary_rhs_min = math.nan
         events.append(
             EventDiagnostics(
                 t0=t_end,

@@ -253,7 +253,6 @@ def suite_tumor_jump(outdir: Optional[Path] = None) -> list[CheckResult]:
     ok = (
         math.isfinite(T_eps)
         and ev.t0 > T_eps
-        and ev.boundary_rhs_min is not None
         and ev.boundary_rhs_min > 0
         and not ev.grazing
         and len(after) == 10

@@ -32,6 +32,21 @@ def invasion_results():
 
 
 @pytest.fixture(scope="module")
+def global_sign_results():
+    return verify.suite_global_sign()
+
+
+@pytest.fixture(scope="module")
+def green_results():
+    return verify.suite_green()
+
+
+@pytest.fixture(scope="module")
+def aronson_results():
+    return verify.suite_aronson()
+
+
+@pytest.fixture(scope="module")
 def kernel_ratio_results():
     return verify.suite_kernel_mono()
 
@@ -62,8 +77,8 @@ def test_criterion_03b_T_monotone_stability(invasion_results):
     _report("3b", [r for r in invasion_results if r.criterion == "T-monotone"])
 
 
-def test_criterion_04_green_equivalence():
-    _report("4", verify.suite_green())
+def test_criterion_04_green_equivalence(green_results):
+    _report("4", green_results)
 
 
 def test_criterion_05_green_dt_scan(halfline_results):
@@ -77,12 +92,12 @@ def test_criterion_06_full_solution_sign(halfline_results):
     _report("6", [r for r in halfline_results if r.criterion == "full-solution-sign"])
 
 
-def test_criterion_07_global_sign_time():
-    _report("7", verify.suite_global_sign())
+def test_criterion_07_global_sign_time(global_sign_results):
+    _report("7", global_sign_results)
 
 
-def test_criterion_08_aronson_sandwich():
-    _report("8", verify.suite_aronson())
+def test_criterion_08_aronson_sandwich(aronson_results):
+    _report("8", aronson_results)
 
 
 def test_criterion_09_kernel_ratio_constant(kernel_ratio_results):
@@ -106,6 +121,58 @@ def test_criterion_11_jump_identity(tumor_results):
 
 def test_criterion_12_observed_size_implication(tumor_results):
     _report("12", [r for r in tumor_results if r.criterion == "observed-size-implication"])
+
+
+# What `kpplab verify <suite>` prints, line for line. The printed numbers are
+# the contract that a rewrite of the certificate routines must keep.
+VERIFY_LINES = {
+    "theorem1": [
+        "PASS  spreading-speed: fitted level-0.5 speed 1.9673 vs 2.0 +/- 0.1",
+        "PASS  sign-above-eps: T_eps(0.1) = 2 (<= 40), h/2 gives 2 (moves <= one comb step)",
+        "PASS  inf-rhs-tail: |inf rhs|(80) = 0.000e+00 <= 1e-3 and <= |inf rhs|(40) = 0.000e+00",
+        "PASS  T-monotone: T_mono = 1, h/2 gives 1 (stable within one snapshot)",
+    ],
+    "theorem2": [
+        "PASS  global-sign-time: tau_global = 2; rhs > 0 at every reliable cell afterwards",
+        "PASS  harnack-shift: fitted shift constant C = 0.4120 over 72 snapshot pairs (T0 = 4.1640)",
+    ],
+    "green": [
+        "PASS  green-equivalence: quadrature vs zero-boundary PDE solve: rel Linf error 2.743e-05 <= 1e-2",
+    ],
+    "kernel-mono": [
+        "PASS  kernel-ratio-constant: min ratio 0.894439 vs (tau/(tau+1))^(1/2) = 0.894427 at x = 0",
+        "PASS  kernel-ratio-negative-control: tau=1, sigma=0.99: min ratio 0.707201 < 0.99 fails as predicted",
+        "PASS  kernel-ratio-variable: sine amplitudes passing at sigma=0.8, tau=4: [0.05, 0.1, 0.2, 0.4] (largest 0.4)",
+    ],
+    "aronson": [
+        "PASS  aronson-sandwich: sine coefficient: K = 4.686 (<= 50) on t in [0.5, 1.0, 2.0, 4.0], |x| <= 10, 1458 points; gaussian-normalized K = 1.562",
+        "PASS  aronson-exact-gaussian: constant D=1: gaussian-normalized K = 1.0166 (exact kernel -> 1); literal-form K = 3.604",
+    ],
+    "tumor-jump": [
+        "PASS  jump-identity: max |residual| over beta in (0.3,0.5,0.8) at t0=5: 1.779e-14 <= 1e-12",
+        "PASS  observed-size-implication: event at t0=20 > T_eps = 1.5, boundary rhs min 0.2016 > 0, S nondecreasing on next 10 comb points: True",
+    ],
+    "prop91-scan": [
+        "PASS  green-dt-region-scan: 900000 sampled points in the guaranteed region, 0 sign violations (min G_t = 2.468e-65)",
+        "PASS  t0-threshold: t0(1) = 2.0819767 vs 2.0819767 +/- 1e-6",
+        "PASS  full-solution-sign: numerical v with g(t)=1-exp(-t): rhs > 0 at all 7038 sampled points in the region (min rhs 1.132e-57)",
+    ],
+}
+SUITE_FIXTURES = {
+    "theorem1": "invasion_results",
+    "theorem2": "global_sign_results",
+    "green": "green_results",
+    "kernel-mono": "kernel_ratio_results",
+    "aronson": "aronson_results",
+    "tumor-jump": "tumor_results",
+    "prop91-scan": "halfline_results",
+}
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_LINES))
+def test_verify_prints_the_pinned_lines(suite, request):
+    results = request.getfixturevalue(SUITE_FIXTURES[suite])
+    assert [r.line() for r in results] == VERIFY_LINES[suite]
 
 
 # Criterion 13: property suites run directly.

@@ -89,6 +89,7 @@ BAD_VALUES = [
     ("analysis", "eps_list", [True]),
     ("analysis", "margin", "x"),
     ("analysis", "speed_window", ["a", 1]),
+    ("problem", "coefficient", {"kind": "sine", "base": 1.0, "amplitude": 0.5, "wavelength": 0}),
 ]
 
 

@@ -215,17 +215,10 @@ def test_prop61_two_dimensional_prediction():
     assert rep.min_ratio == pytest.approx(rep.constant_coeff_prediction, abs=2e-3)
 
 
-def test_quadrature_richardson_refinement_improves_smooth_data():
-    pp = HalfLineParams(1.0, 0.5)
-    grid = Grid.halfline(20.0, 0.1)
-    y = grid.axis(0)
-    v0 = GridFunction(np.exp(-((y - 4.0) ** 2)), grid.h, (0.0,))
-    ref_grid = Grid.halfline(20.0, 0.025)
-    yr = ref_grid.axis(0)
-    ref = halfline_quadrature(pp, GridFunction(np.exp(-((yr - 4.0) ** 2)), ref_grid.h, (0.0,)), 1.0)
-    x_probe = np.arange(0, 201, 10)  # common nodes of both grids
-    ref_vals = ref.values[x_probe * 4]
-    plain = halfline_quadrature(pp, v0, 1.0).values[x_probe]
-    refined = halfline_quadrature(pp, v0, 1.0, richardson=True).values[x_probe]
-    keep = np.abs(ref_vals) > 1e-8
-    assert np.max(np.abs(refined - ref_vals)[keep]) <= np.max(np.abs(plain - ref_vals)[keep])
+def test_aronson_fit_takes_the_dimension_from_the_kernels():
+    # the exact 2D heat kernel: K_gaussian near 1 needs the (4 pi t)^(N/2)
+    # normalization with N = 2; with N = 1 it reads about 5
+    grid = Grid.centered(12.0, 0.25, 2)
+    res = fundamental_solution(Constant(1.0), [1.0, 2.0], (0.0, 0.0), grid)
+    fit = fit_aronson_K(res.pairs(), res.source, x_max=4.0)
+    assert fit.K_gaussian == pytest.approx(1.0, abs=0.05)
