@@ -88,7 +88,7 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
         pass
 
     if setup.schedule is not None:
-        proto = tu.run_protocol(setup.problem, setup.schedule, setup.solver)
+        proto = tu.run_protocol(traj, setup.schedule)
         write_csv(
             outdir / "protocol.csv",
             ["t", "S", "mass", "event_flag"],
@@ -234,6 +234,8 @@ def cmd_sweep(args) -> int:
         assignments: list[tuple[tuple[str, float], ...]] = [()]
         for dotted, values in axes:
             assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
+        if args.jobs < 1:
+            raise SchemaError(f"--jobs must be at least 1, got {args.jobs}.")
         for assignment in assignments:  # every point is checked before any runs
             _point_setup(data, assignment)
     except SchemaError as exc:
@@ -243,9 +245,10 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     payloads = [(data, assignment, str(outdir)) for assignment in assignments]
+    workers = min(args.jobs, len(payloads))
     try:
-        if args.jobs > 1 and len(payloads) > 1:
-            with get_context("fork").Pool(processes=args.jobs) as pool:
+        if workers > 1:
+            with get_context("fork").Pool(processes=workers) as pool:
                 rows = pool.map(_sweep_worker, payloads)
         else:
             rows = [_sweep_worker(pl) for pl in payloads]

@@ -71,7 +71,7 @@ class Constant(CoefficientField):
     constant_at_infinity = True
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
+        if not self.value > 0:
             raise ValueError("diffusivity must be positive.")
 
     def evaluate(self, points) -> np.ndarray:
@@ -89,9 +89,9 @@ class Sine(CoefficientField):
     kind = "sine"
 
     def __post_init__(self) -> None:
-        if self.base - abs(self.amplitude) <= 0:
+        if not self.base - abs(self.amplitude) > 0:
             raise ValueError("sine coefficient must stay positive.")
-        if self.wavelength == 0:
+        if not abs(self.wavelength) > 0:
             raise ValueError("sine wavelength must be nonzero.")
 
     def evaluate(self, points) -> np.ndarray:
@@ -111,9 +111,9 @@ class Piecewise(Blend, CoefficientField):
     constant_at_infinity = True
 
     def __post_init__(self) -> None:
-        if self.a_minus <= 0 or self.a_plus <= 0:
+        if not (self.a_minus > 0 and self.a_plus > 0):
             raise ValueError("diffusivities must be positive.")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("transition radius must be positive.")
 
     def evaluate(self, points) -> np.ndarray:
@@ -170,7 +170,7 @@ class Logistic(Reaction):
     constant_at_infinity = True
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("logistic rate must be positive.")
 
     def bind(self, points) -> Callable[..., np.ndarray]:
@@ -239,11 +239,11 @@ class PiecewiseKPP(Blend, Reaction):
     linear_near_zero = True
 
     def __post_init__(self) -> None:
-        if self.rate_minus <= 0 or self.rate_plus <= 0:
+        if not (self.rate_minus > 0 and self.rate_plus > 0):
             raise ValueError("piecewise rates must be positive.")
         if not 0 < self.theta < 1:
             raise ValueError("theta must lie in (0,1).")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("blend radius must be positive.")
 
     def tent(self, u, rate: float) -> np.ndarray:
@@ -288,7 +288,7 @@ class _Decaying(InitialCondition):
     decay: float
 
     def __post_init__(self) -> None:
-        if self.amplitude <= 0 or self.decay <= 0:
+        if not (self.amplitude > 0 and self.decay > 0):
             raise ValueError("amplitude and decay must be positive.")
 
 
@@ -320,7 +320,7 @@ class Bump(InitialCondition):
     kind = "bump"
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or not 0 < self.height <= 1:
+        if not (self.radius > 0 and 0 < self.height <= 1):
             raise ValueError("bump needs radius > 0 and height in (0,1].")
 
     def evaluate(self, points) -> np.ndarray:
@@ -340,7 +340,7 @@ class Problem:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2.")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ValueError("half_width must be positive.")
         for piece in (self.coefficient, self.reaction):
             if isinstance(piece, Blend):
@@ -400,7 +400,7 @@ def validate_problem(p: Problem, n_samples: int = 64) -> HypothesisReport:
     # (4) uniform ellipticity: nu = smallest nu >= 1 with 1/nu <= a <= nu.
     a = p.coefficient.evaluate(xs)
     a_min, a_max = float(np.min(a)), float(np.max(a))
-    if a_min <= 0:
+    if not a_min > 0:
         verdicts["h4_ellipticity"] = Verdict(
             False, witness=(float(xs[int(np.argmin(a))]),), note="coefficient not positive"
         )
@@ -452,7 +452,7 @@ def validate_problem(p: Problem, n_samples: int = 64) -> HypothesisReport:
     r_h2 = p.reaction.evaluate(xs, np.full_like(xs, hu / 2)) / (hu / 2)
     slope0 = 2.0 * r_h2 - r_h  # Richardson-extrapolated limit of f(x,s)/s at s=0
     worst = int(np.argmin(slope0))
-    if mu <= 0 or slope0[worst] <= max(1e-12, 0.5 * mu):
+    if not (mu > 0 and slope0[worst] > max(1e-12, 0.5 * mu)):
         verdicts["h8_linear_lower"] = Verdict(
             False,
             witness=(float(xs[worst]), 0.0),

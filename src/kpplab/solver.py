@@ -27,6 +27,7 @@ from .model import make_initial, validate_problem
 MAXPRINCIPLE_TOL = 1e-12
 SNAPSHOT_TOL = 1e-9  # how close a snapshot's time must be to the time asked for
 KERNEL_MASS_TOL = 1e-4  # largest drift of a fundamental solution's mass from 1
+IMEX_DT_MAX = 0.05  # accuracy cap on the IMEX auto dt; its monotone bound is dt*L <= 1
 
 
 class NumericalError(RuntimeError):
@@ -49,17 +50,17 @@ class SolverConfig:
     hard_leak_threshold: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.h <= 0 or self.t_final <= 0:
+        if not (self.h > 0 and self.t_final > 0):
             raise ValueError("h and t_final must be positive.")
         if self.scheme not in ("explicit-euler", "imex-diffusion-implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}.")
         if isinstance(self.dt, str) and self.dt != "auto":
             raise ValueError("dt must be a positive number or 'auto'.")
-        if not isinstance(self.dt, str) and self.dt <= 0:
+        if not isinstance(self.dt, str) and not self.dt > 0:
             raise ValueError("dt must be a positive number or 'auto'.")
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
+        if self.snapshot_every is not None and not self.snapshot_every > 0:
             raise ValueError("snapshot_every must be positive.")
-        if self.snapshot_times is not None and any(t < 0 for t in self.snapshot_times):
+        if self.snapshot_times is not None and any(not t >= 0 for t in self.snapshot_times):
             raise ValueError("snapshot_times must be nonnegative.")
 
     def resolved_snapshot_times(self) -> np.ndarray:
@@ -77,7 +78,7 @@ class SolverConfig:
 class Snapshot:
     t: float
     u: GridFunction
-    rhs: Optional[GridFunction]
+    rhs: Optional[GridFunction] = None
 
 
 @dataclass
@@ -147,7 +148,9 @@ class _Stepper:
             return s / (1.0 + self.lipschitz * s)
         return 1.0 / self.lipschitz if self.lipschitz > 0 else math.inf
 
-    def auto_dt(self) -> float:
+    def auto_dt(self, explicit: bool = True) -> float:
+        if not explicit:
+            return min(IMEX_DT_MAX, 0.5 / self.lipschitz) if self.lipschitz > 0 else IMEX_DT_MAX
         dt = 0.9 * self.stability_bound()
         if self.lipschitz > 0:
             dt = min(dt, 0.5 / self.lipschitz)
@@ -268,10 +271,10 @@ def _check_solution_range(values: np.ndarray, t: float) -> None:
 
 
 def _resolve_dt(stepper: _Stepper, cfg: SolverConfig) -> float:
-    if cfg.dt == "auto":
-        return stepper.auto_dt()
-    dt = float(cfg.dt)
     explicit = cfg.scheme == "explicit-euler"
+    if cfg.dt == "auto":
+        return stepper.auto_dt(explicit)
+    dt = float(cfg.dt)
     bound = stepper.monotone_dt(explicit)
     if dt > bound * (1 + 1e-9):
         rule = "dt*(2*dim*sup a/h^2 + L) <= 1" if explicit else "dt*L <= 1"
@@ -339,12 +342,13 @@ def solve(
     p: Problem,
     cfg: SolverConfig,
     validate: bool = True,
-    initial_state: Optional[GridFunction] = None,
-    t_start: float = 0.0,
-    extra_snapshot_times: Sequence[float] = (),
+    start: Optional[Snapshot] = None,
 ) -> Trajectory:
     """Run the problem to t_final, recording (t, u, rhs) snapshots.
 
+    Snapshot times are absolute. Without ``start`` the run begins at t=0 from
+    the problem's initial datum; with it, at ``start.t`` from ``start.u``, and
+    it records start.t and every resolved snapshot time in (start.t, t_final].
     Emits a boundary-leak warning past cfg.boundary_leak_tolerance and aborts
     past cfg.hard_leak_threshold (domain too small for the requested horizon).
     """
@@ -356,24 +360,21 @@ def solve(
                 + report.summary()
             )
     grid = Grid.centered(p.half_width, cfg.h, p.dimension)
-    if initial_state is None:
-        state = make_initial(p.initial, grid).values
-    else:
-        if initial_state.grid.npoints != grid.npoints:
-            raise ValueError("initial_state does not match the solver grid.")
-        state = initial_state.values
+    if start is None:
+        start = Snapshot(0.0, make_initial(p.initial, grid))
+    elif start.u.grid.npoints != grid.npoints:
+        raise ValueError("start state does not match the solver grid.")
     stepper = _Stepper(p.coefficient, p.reaction, grid)
     dt = _resolve_dt(stepper, cfg)
 
-    targets = cfg.resolved_snapshot_times() + t_start
-    targets = np.unique(np.concatenate([targets, np.asarray(extra_snapshot_times, dtype=float)]))
-    targets = targets[(targets >= t_start - 1e-12) & (targets <= t_start + cfg.t_final + 1e-9)]
+    times = cfg.resolved_snapshot_times()
+    targets = np.concatenate(([start.t], times[times > start.t + 1e-12]))
 
     traj = Trajectory(problem=p, config=cfg)
     warned = False
-    _check_solution_range(state, t_start)
+    _check_solution_range(start.u.values, start.t)
     advance = stepper.step_explicit if cfg.scheme == "explicit-euler" else stepper.step_imex
-    for t, state in _march(state, t_start, targets, dt, advance):
+    for t, state in _march(start.u.values, start.t, targets, dt, advance):
         _check_solution_range(state, t)
         leak = _boundary_cells_max(state)
         traj.leak_max = max(traj.leak_max, leak)

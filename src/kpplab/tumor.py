@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .grids import GridFunction, assert_same_grid, level_crossings
 from .model import Logistic, Problem
-from .solver import SolverConfig, Trajectory, discrete_rhs, solve
+from .solver import Snapshot, Trajectory, discrete_rhs, solve
 
 GRAZING_SLOPE = 1e-10
 SUBCELLS = 8  # midpoint samples per axis of a 2D cell that the level set cuts
@@ -156,7 +155,6 @@ class ProtocolPoint:
 class ProtocolResult:
     series: list[ProtocolPoint]
     events: list[EventDiagnostics]
-    trajectories: list[Trajectory]
 
     def series_after(self, t0: float, n: int) -> list[ProtocolPoint]:
         """The first n comb points strictly after t0 (post-event rows excluded)."""
@@ -164,57 +162,44 @@ class ProtocolResult:
         return rows[:n]
 
 
-def run_protocol(p: Problem, sched: TreatmentSchedule, cfg: SolverConfig) -> ProtocolResult:
-    """Solve the problem with multiplicative jumps at the scheduled events.
+def _continue(traj: Trajectory, start: Snapshot, t_end: float) -> list[Snapshot]:
+    """The snapshots after ``start`` of the run continued from it on the comb
+    of ``traj``, up to and including t_end."""
+    cfg = traj.config
+    comb = tuple(cfg.resolved_snapshot_times())
+    seg_cfg = replace(cfg, t_final=t_end, snapshot_every=None, snapshot_times=(*comb, t_end))
+    return solve(traj.problem, seg_cfg, validate=False, start=start).snapshots[1:]
 
+
+def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
+    """Continue an untreated run with multiplicative jumps at the scheduled events.
+
+    ``traj`` is the untreated run; its snapshots are the rows up to the first
+    event, and the march resumes from its last snapshot at or before it.
     Event times are inserted into the snapshot comb exactly; the series holds
     one row per comb time plus a flagged post-event row at each event.
     Boundary diagnostics interpolate the post-treatment rhs at the
     sigma-crossings of the post-treatment state.
     """
-    if any(not 0 < t < cfg.t_final for t, _ in sched.events):
+    p, t_final = traj.problem, traj.config.t_final
+    if any(not 0 < t < t_final for t, _ in sched.events):
         raise ValueError("every event must fall strictly inside (0, t_final).")
-    comb = cfg.resolved_snapshot_times()
     sigma = sched.sigma_img
 
-    series: list[ProtocolPoint] = []
-    events: list[EventDiagnostics] = []
-    trajectories: list[Trajectory] = []
+    def row(snap: Snapshot, event_flag: int = 0) -> ProtocolPoint:
+        return ProtocolPoint(
+            t=snap.t, S=observed_size(snap.u, sigma), mass=total_mass(snap.u), event_flag=event_flag
+        )
 
-    state: Optional[GridFunction] = None
-    t_cursor = 0.0
-    segments = list(sched.events) + [(cfg.t_final, None)]
-    for t_end, beta in segments:
-        inside = comb[(comb > t_cursor + 1e-12) & (comb <= t_end + 1e-12)] - t_cursor
-        seg_cfg = replace(
-            cfg,
-            t_final=t_end - t_cursor,
-            snapshot_every=None,
-            snapshot_times=tuple(float(t) for t in inside),
-        )
-        traj = solve(
-            p,
-            seg_cfg,
-            validate=False,
-            initial_state=state,
-            t_start=t_cursor,
-            extra_snapshot_times=[t_cursor, t_end],
-        )
-        trajectories.append(traj)
-        for snap in traj:
-            if abs(snap.t - t_cursor) <= 1e-12 and series and abs(series[-1].t - snap.t) <= 1e-12:
-                continue  # segment start already recorded by the previous segment
-            series.append(
-                ProtocolPoint(
-                    t=snap.t,
-                    S=observed_size(snap.u, sigma),
-                    mass=total_mass(snap.u),
-                    event_flag=0,
-                )
-            )
-        if beta is None:
-            break
-        pre = traj.snapshots[-1]
+    t_first = sched.events[0][0] if sched.events else t_final
+    snaps = [s for s in traj if s.t <= t_first + 1e-12]
+    if snaps[-1].t < t_first - 1e-12:  # the first event falls between comb points
+        snaps += _continue(traj, snaps[-1], t_first)
+    series = [row(s) for s in snaps]
+    events: list[EventDiagnostics] = []
+    ends = [t for t, _ in sched.events[1:]] + [t_final]
+    for (t0, beta), t_end in zip(sched.events, ends):
+        pre = snaps[-1]
         post_u = apply_treatment(pre.u, beta)
         post_rhs = discrete_rhs(post_u, p)
         crossings, grazing = sigma_crossings(post_u, sigma) if post_u.dim == 1 else (np.array([]), False)
@@ -222,35 +207,29 @@ def run_protocol(p: Problem, sched: TreatmentSchedule, cfg: SolverConfig) -> Pro
             boundary_rhs_min = float(np.min(_interp_at(post_rhs, crossings)))
         else:
             boundary_rhs_min = math.nan
+        post = Snapshot(t0, post_u)
+        series.append(row(post, event_flag=1))
         events.append(
             EventDiagnostics(
-                t0=t_end,
+                t0=t0,
                 beta=beta,
                 S_before=observed_size(pre.u, sigma),
-                S_after=observed_size(post_u, sigma),
+                S_after=series[-1].S,
                 mass_before=total_mass(pre.u),
-                mass_after=total_mass(post_u),
+                mass_after=series[-1].mass,
                 boundary_rhs_min=boundary_rhs_min,
                 grazing=grazing,
             )
         )
-        series.append(
-            ProtocolPoint(
-                t=t_end,
-                S=events[-1].S_after,
-                mass=events[-1].mass_after,
-                event_flag=1,
-            )
-        )
-        state = post_u
-        t_cursor = t_end
+        snaps = _continue(traj, post, t_end)
+        series += [row(s) for s in snaps]
 
     for ev in events:
         nxt = [p_ for p_ in series if p_.t > ev.t0 + 1e-12 and p_.event_flag == 0]
         if nxt:
             ev.dS_sign_next = int(np.sign(nxt[0].S - ev.S_after))
             ev.dmass_sign_next = int(np.sign(nxt[0].mass - ev.mass_after))
-    return ProtocolResult(series=series, events=events, trajectories=trajectories)
+    return ProtocolResult(series=series, events=events)
 
 
 def jump_identity_residual(

@@ -244,9 +244,10 @@ def suite_tumor_jump(outdir: Optional[Path] = None) -> list[CheckResult]:
     p_wide = homogeneous_kpp(half_width=100.0)
     sched = tu.TreatmentSchedule(events=((20.0, 0.5),), sigma_img=0.3)
     cfg = SolverConfig(h=0.1, t_final=30.0, snapshot_every=0.5, boundary_leak_tolerance=1e-6)
-    proto = tu.run_protocol(p_wide, sched, cfg)
-    cert = an.monotonicity_report(proto.trajectories[0], eps_list=(0.3,), t_floor=10.0)
+    untreated = solve(p_wide, cfg)
+    cert = an.monotonicity_report(untreated, eps_list=(0.3,), t_floor=10.0)
     T_eps = cert.T_eps[0.3]
+    proto = tu.run_protocol(untreated, sched)
     ev = proto.events[0]
     after = [pt.S for pt in proto.series_after(20.0, 10)]
     nondec = all(b >= a - 1e-9 for a, b in zip(after, after[1:]))

@@ -14,7 +14,7 @@ from kpplab.analysis import spreading_speed
 from kpplab.grids import Grid, GridFunction
 from kpplab.kernels import HalfLineParams, half_line_green
 from kpplab.model import homogeneous_kpp
-from kpplab.solver import SolverConfig, solve
+from kpplab.solver import Snapshot, SolverConfig, solve
 from kpplab.tumor import apply_treatment, total_mass
 
 
@@ -205,8 +205,8 @@ def test_criterion_13_property_suites():
     )
     for k in range(20):
         lo, hi = _random_ordered_pair(grid, rng)
-        traj_lo = solve(p, cfg, validate=False, initial_state=lo)
-        traj_hi = solve(p, cfg, validate=False, initial_state=hi)
+        traj_lo = solve(p, cfg, validate=False, start=Snapshot(0.0, lo))
+        traj_hi = solve(p, cfg, validate=False, start=Snapshot(0.0, hi))
         for sa, sb in zip(traj_lo, traj_hi):
             if not np.all(sa.u.values <= sb.u.values + 1e-12):
                 violations.append(f"comparison pair {k} at t={sa.t}")

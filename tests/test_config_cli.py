@@ -1,9 +1,11 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from kpplab import cli
 from kpplab.cli import main
 from kpplab.config import KINDS, SchemaError, parse_config
 from kpplab.model import (
@@ -390,3 +392,38 @@ def test_readme_schema_matches_the_kind_table():
         for block in blocks:
             built = getattr(parse_config(with_key(("problem",), name, block)).problem, name)
             assert built == DIRECT[block["kind"]](block), block
+
+
+def test_cli_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, capsys):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    data = json.loads(json.dumps(MINIMAL))
+    data["analysis"] = {}
+    data["solver"]["t_final"] = 2.0
+    cfg = write_config(tmp_path, data)
+    argv = ["sweep", "--config", str(cfg), "--axis", "problem.reaction.rate=0.5,1.0"]
+    assert main(argv + ["--out", str(tmp_path / "a"), "--jobs", "64"]) == 0
+    assert started == [2]
+    assert main(argv + ["--out", str(tmp_path / "b"), "--jobs", "1"]) == 0
+    assert started == [2]  # one worker runs in this process
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(argv + ["--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("config error: --jobs")
+        assert not out.exists()
+    assert started == [2]

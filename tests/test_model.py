@@ -1,9 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kpplab.grids import Grid
 from kpplab.model import (
     Bump,
+    CoefficientField,
     Constant,
     Exponential,
     Gaussian,
@@ -19,6 +23,7 @@ from kpplab.model import (
     make_initial,
     validate_problem,
 )
+from kpplab.solver import SolverConfig
 
 
 def test_logistic_constants_match_reference_window():
@@ -172,3 +177,39 @@ def test_problem_invariants():
             reaction=PiecewiseKPP(0.5, 1.0, 0.3, 10.0),
             initial=Bump(1.0, 1.0),
         )
+
+
+def test_nan_parameters_are_rejected():
+    # NaN passes every `x <= 0` check, so each check is a negated `x > 0`
+    valid = {
+        Constant(1.0): ("value",),
+        Sine(1.0, 0.5, 5.0): ("base", "amplitude", "wavelength"),
+        Piecewise(1.0, 2.0, 10.0): ("a_minus", "a_plus", "radius"),
+        Logistic(1.0): ("rate",),
+        PiecewiseKPP(0.5, 1.0, 0.3, 10.0): ("rate_minus", "rate_plus", "radius"),
+        Gaussian(1.0, 1.0): ("amplitude", "decay"),
+        Exponential(1.0, 1.0): ("amplitude", "decay"),
+        Bump(1.0, 1.0): ("radius",),
+        SolverConfig(h=0.1, t_final=1.0, dt=0.001): ("h", "t_final", "dt"),
+        homogeneous_kpp(half_width=20.0): ("half_width",),
+    }
+    accepted = []
+    for obj, names in valid.items():
+        for name in names:
+            try:
+                replace(obj, **{name: math.nan})
+            except ValueError:
+                continue
+            accepted.append(f"{type(obj).__name__}.{name}")
+    assert not accepted, accepted
+
+
+def test_nan_coefficient_fails_ellipticity():
+    class NanCoefficient(CoefficientField):
+        def evaluate(self, points):
+            return np.full_like(np.asarray(points, dtype=float), math.nan)
+
+    p = Problem(1, 20.0, NanCoefficient(), Logistic(1.0), Bump(1.0, 1.0))
+    report = validate_problem(p)
+    assert report.verdicts["h4_ellipticity"].passed is False
+    assert not report.all_pass

@@ -8,12 +8,16 @@ from or written to ``perfbench/``.
 """
 import hashlib
 import importlib
+import inspect
 import json
 import re
 from pathlib import Path
 
+from kpplab import tumor
 from kpplab.cli import main
 from kpplab.config import KINDS, load_config
+from kpplab.model import homogeneous_kpp
+from kpplab.solver import SolverConfig, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -68,3 +72,20 @@ def test_pinned_1d_runs_match_the_benchmark_digests(tmp_path):
         if path.is_file()
     }
     assert got == want
+
+
+def test_protocol_solves_through_tumor_solve_from_the_event(monkeypatch):
+    # the benchmark times `tumor.solve` as solver work under the protocol's span
+    original = tumor.solve
+    starts = []
+
+    def recording(*args, **kwargs):
+        starts.append(inspect.signature(original).bind(*args, **kwargs).arguments.get("start"))
+        return original(*args, **kwargs)
+
+    p = homogeneous_kpp(half_width=30.0)
+    traj = solve(p, SolverConfig(h=0.2, t_final=4.0, snapshot_every=1.0))
+    monkeypatch.setattr(tumor, "solve", recording)
+    tumor.run_protocol(traj, tumor.TreatmentSchedule(((2.0, 0.5),), 0.3))
+    assert starts
+    assert all(start is not None and start.t > 0 for start in starts), starts

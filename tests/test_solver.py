@@ -14,6 +14,7 @@ from kpplab.model import (
 )
 from kpplab.solver import (
     NumericalError,
+    Snapshot,
     SolverConfig,
     StabilityError,
     discrete_rhs,
@@ -85,7 +86,7 @@ def test_constant_state_follows_logistic_ode():
         boundary_leak_tolerance=2.0,
         hard_leak_threshold=2.0,
     )
-    traj = solve(p, cfg, validate=False, initial_state=state, extra_snapshot_times=[5.0])
+    traj = solve(p, cfg, validate=False, start=Snapshot(0.0, state))
     snap = traj.snapshot_at(5.0)
     x = snap.u.axis(0)
     window = np.abs(x) <= 5.0  # away from the held boundary nodes
@@ -122,8 +123,8 @@ def test_comparison_principle_on_random_ordered_pairs():
     for _ in range(20):
         upper = _random_smooth_field(grid, rng)
         lower = upper * rng.uniform(0.1, 1.0)
-        traj_a = solve(p, cfg, validate=False, initial_state=GridFunction(lower, grid.h, grid.origin))
-        traj_b = solve(p, cfg, validate=False, initial_state=GridFunction(upper, grid.h, grid.origin))
+        traj_a = solve(p, cfg, validate=False, start=Snapshot(0.0, GridFunction(lower, grid.h, grid.origin)))
+        traj_b = solve(p, cfg, validate=False, start=Snapshot(0.0, GridFunction(upper, grid.h, grid.origin)))
         for sa, sb in zip(traj_a, traj_b):
             assert np.all(sa.u.values <= sb.u.values + 1e-12)
 
@@ -303,3 +304,20 @@ def test_imex_is_one_dimensional_only():
     cfg = SolverConfig(h=0.25, t_final=0.5, scheme="imex-diffusion-implicit", dt=0.01)
     with pytest.raises(NotImplementedError):
         solve(p, cfg)
+
+
+@pytest.mark.parametrize(
+    "dimension, scheme, h",
+    [(1, "explicit-euler", 0.1), (1, "imex-diffusion-implicit", 0.1), (2, "explicit-euler", 0.5)],
+)
+def test_solve_from_a_snapshot_reproduces_the_rest_of_the_run(dimension, scheme, h):
+    # IMEX is one-dimensional only, so its 2D case does not exist
+    p = homogeneous_kpp(half_width=20.0, dimension=dimension)
+    cfg = SolverConfig(h=h, t_final=4.0, scheme=scheme, snapshot_times=(0.7, 1.5, 2.0, 3.25, 4.0))
+    run = solve(p, cfg).snapshots
+    for k in (0, 2, 4):
+        cont = solve(p, cfg, start=run[k]).snapshots
+        assert [s.t for s in cont] == [s.t for s in run[k:]]
+        for a, b in zip(cont, run[k:]):
+            assert a.u.values.tobytes() == b.u.values.tobytes()
+            assert a.rhs.values.tobytes() == b.rhs.values.tobytes()

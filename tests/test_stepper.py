@@ -31,8 +31,11 @@ from kpplab.model import (
     homogeneous_kpp,
 )
 from kpplab.solver import (
+    IMEX_DT_MAX,
     MAXPRINCIPLE_TOL,
+    Snapshot,
     SolverConfig,
+    _resolve_dt,
     _Stepper,
     fundamental_solution,
     solve,
@@ -189,6 +192,19 @@ def test_auto_dt_of_pinned_configs_is_unchanged():
         assert stepper.auto_dt() == want, path.name
 
 
+def test_imex_auto_dt_is_an_accuracy_cap_not_the_explicit_bound():
+    # implicit diffusion lifts the CFL limit: only dt*L <= 1 and the cap remain
+    grid = Grid.centered(10.0, 0.05, 1)
+    explicit = SolverConfig(h=0.05, t_final=1.0)
+    imex = SolverConfig(h=0.05, t_final=1.0, scheme="imex-diffusion-implicit")
+    for rate, want in ((1.0, IMEX_DT_MAX), (50.0, 0.5 / 50.0)):
+        stepper = _Stepper(Constant(1.0), Logistic(rate), grid)
+        assert _resolve_dt(stepper, imex) == want
+        assert want <= stepper.monotone_dt(explicit=False)
+        assert _resolve_dt(stepper, explicit) == stepper.auto_dt()
+        assert stepper.auto_dt() <= stepper.monotone_dt()
+
+
 def test_monotone_bound_sees_the_reaction_on_the_whole_grid():
     # r is 10 only beyond |x| = 150, outside any fixed sampling window
     reaction = Separable(
@@ -236,7 +252,7 @@ def test_solve_keeps_initial_state_and_snapshots_apart():
             boundary_leak_tolerance=2.0,
             hard_leak_threshold=2.0,
         )
-        traj = solve(p, cfg, validate=False, initial_state=gf)
+        traj = solve(p, cfg, validate=False, start=Snapshot(0.0, gf))
         assert_same_bits(gf.values, before)
         assert len(traj.snapshots) == 5
         assert_no_shared_memory(
