@@ -46,6 +46,13 @@ class RunSetup:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     schedule: Optional[TreatmentSchedule] = None
 
+    def __post_init__(self) -> None:
+        if self.solver.scheme == "imex-diffusion-implicit" and self.problem.dimension != 1:
+            raise SchemaError(
+                f"{_at('solver.scheme')}: 'imex-diffusion-implicit' is one-dimensional only, "
+                f"but problem.dimension is {self.problem.dimension}."
+            )
+
 
 # block path -> {kind: class}; a kind's keys are its class's fields
 KINDS = {

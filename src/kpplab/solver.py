@@ -3,8 +3,9 @@
 The reference scheme is explicit Euler with a divergence-form flux using
 face-centered coefficients; under dt*(2*dim*sup a/h^2 + L) <= 1 (L the
 reaction's Lipschitz bound) the update is monotone, so discrete comparison
-and maximum principles hold. An IMEX variant (implicit diffusion via a banded
-Cholesky solve, 1D; monotone under dt*L <= 1) is available for stiff sweeps.
+and maximum principles hold. An IMEX variant (implicit diffusion solved with
+LAPACK's tridiagonal dpttrf/dpttrs, 1D; monotone under dt*L <= 1) is available
+for stiff sweeps; it is the only user of scipy, which it imports on first use.
 Boundary nodes are held fixed (Dirichlet truncation; zero for decaying data).
 The whole-space solve, the fundamental solutions and the half-line solve all
 step one stencil through one march loop.
@@ -14,11 +15,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .grids import Grid, GridFunction
 from .model import CoefficientField, Constant, Problem, Reaction, Separable, Zero
@@ -128,8 +128,8 @@ class _Stepper:
             self.a_max = float(max(np.max(self.faces_x), np.max(self.faces_y)))
             self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y[1:-1], indexing="ij"))
             self._div = _div_2d(self.faces_x, self.faces_y, self.inv_h2, self.f_interior)
-        self._chol = None
-        self._chol_dt = None
+        self._solve = None  # dpttrs bound to the factor of I - dt*A for dt = _solve_dt
+        self._solve_dt = None
 
     @cached_property
     def lipschitz(self) -> float:
@@ -172,26 +172,42 @@ class _Stepper:
         return u
 
     def step_imex(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Implicit diffusion, explicit reaction; 1D banded Cholesky solve."""
+        """Advance ``u`` by one IMEX step in place and return it: explicit
+        reaction, implicit diffusion, 1D only.
+
+        The interior solves (I - dt*A) u_new = u + dt*f(u), A the diffusion
+        matrix with the held boundary nodes moved to the right-hand side.
+        I - dt*A is a symmetric positive definite tridiagonal M-matrix: LAPACK
+        dpttrf factors it once per dt and dpttrs solves with the factor on
+        every step. The boundary nodes are not touched."""
         if self.grid.dim != 1:
             raise NotImplementedError("IMEX scheme is implemented in 1D only.")
-        if self._chol is None or self._chol_dt != dt:
-            n_in = self.grid.npoints[0] - 2
+        if self._solve_dt != dt:
+            # the only import of scipy: runs that never step IMEX never load it
+            from scipy.linalg.lapack import dpttrf, dpttrs
+
             diag = 1.0 + dt * (self.faces[:-1] + self.faces[1:]) * self.inv_h2
-            upper = -dt * self.faces[1:-1] * self.inv_h2
-            ab = np.zeros((2, n_in))
-            ab[0, 1:] = upper
-            ab[1, :] = diag
-            self._chol = cholesky_banded(ab, lower=False)
-            self._chol_dt = dt
-        star = u[1:-1].copy()
+            d, e, info = dpttrf(diag, -dt * self.faces[1:-1] * self.inv_h2)
+            _check_lapack("dpttrf", info, dt)
+            self._solve = partial(dpttrs, d, e, overwrite_b=True)
+            self._solve_dt = dt
+        star = u[1:-1]
         if self.f_interior is not None:
-            star += dt * self.f_interior(u[1:-1])
+            star += dt * self.f_interior(star)
         star[0] += dt * self.faces[0] * u[0] * self.inv_h2
         star[-1] += dt * self.faces[-1] * u[-1] * self.inv_h2
-        new = u.copy()
-        new[1:-1] = cho_solve_banded((self._chol, False), star)
-        return new
+        new, info = self._solve(star)
+        _check_lapack("dpttrs", info, dt)
+        u[1:-1] = new
+        return u
+
+
+def _check_lapack(routine: str, info: int, dt: float) -> None:
+    if info != 0:
+        raise NumericalError(
+            f"LAPACK {routine} returned info={info} for the implicit diffusion matrix at "
+            f"dt={dt:.6g} (positive info: not positive definite)."
+        )
 
 
 # The divergence routines below write div_h(a grad_h u) + f(x,u) at the

@@ -427,3 +427,24 @@ def test_cli_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, cap
         assert capsys.readouterr().err.startswith("config error: --jobs")
         assert not out.exists()
     assert started == [2]
+
+
+def test_two_dimensional_imex_is_a_schema_error(tmp_path, capsys):
+    data = json.loads(json.dumps(MINIMAL))
+    data["solver"]["scheme"] = "imex-diffusion-implicit"
+    parse_config(data)  # 1D IMEX is valid
+    data["problem"]["dimension"] = 2
+    with pytest.raises(SchemaError, match="key 'scheme' in block 'solver'"):
+        parse_config(data)
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'scheme'" in err and "Traceback" not in err
+    # a sweep whose second point is 2D runs none of its points
+    data["problem"]["dimension"] = 1
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--axis", "problem.dimension=1,2"]
+    assert main(argv) == 2
+    assert "'scheme'" in capsys.readouterr().err
+    assert not out.exists()

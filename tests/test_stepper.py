@@ -1,4 +1,5 @@
-"""The explicit step kernel, its time-step bound and the principles it keeps.
+"""The explicit step kernel, its time-step bound and the principles it keeps;
+the comparison and maximum principles are also checked under 1D IMEX.
 
 ``_Stepper`` computes div_h(a grad_h u) + f(x,u) into buffers it owns and
 updates the interior of the state in place. The reference below is the
@@ -282,6 +283,30 @@ def ordered_pair(grid: Grid, level: float, spread: float, seed: int):
     return lower, upper
 
 
+def assert_comparison_and_maximum_principles(p, cfg, level, spread, seed) -> None:
+    """Four steps from an ordered pair of states keep the order and [0, 1]."""
+    grid = Grid.centered(p.half_width, cfg.h, p.dimension)
+    lower, upper = ordered_pair(grid, level, spread, seed)
+    lo = GridFunction(lower, cfg.h, grid.origin)
+    up = GridFunction(upper, cfg.h, grid.origin)
+    for k in range(4):
+        lo, up = step(lo, 0.0, p, cfg), step(up, 0.0, p, cfg)
+        for s in (lo, up):
+            assert np.min(s.values) >= -MAXPRINCIPLE_TOL
+            assert np.max(s.values) <= 1.0 + MAXPRINCIPLE_TOL
+        assert np.min(up.values - lo.values) >= -MAXPRINCIPLE_TOL, k
+
+
+def logistic_problem(dim: int, a: float, rate: float, h: float) -> Problem:
+    return Problem(
+        dimension=dim,
+        half_width=6 * h,
+        coefficient=Constant(a),
+        reaction=Logistic(rate),
+        initial=Gaussian(1.0, 1.0),
+    )
+
+
 @PROPERTY
 @given(
     dim=st.sampled_from([1, 2]),
@@ -296,23 +321,33 @@ def ordered_pair(grid: Grid, level: float, spread: float, seed: int):
 @example(dim=1, rate=50.0, a=1.0, h=0.1, level=1.0, spread=0.05, seed=0, at_bound=False)
 @example(dim=1, rate=50.0, a=1.0, h=0.1, level=1.0, spread=0.05, seed=0, at_bound=True)
 def test_discrete_comparison_and_maximum_principles(dim, rate, a, h, level, spread, seed, at_bound):
-    p = Problem(
-        dimension=dim,
-        half_width=6 * h,
-        coefficient=Constant(a),
-        reaction=Logistic(rate),
-        initial=Gaussian(1.0, 1.0),
-    )
-    grid = Grid.centered(p.half_width, h, dim)
     # dt*(2*dim*a/h^2 + L) = 1 exactly, up to rounding
     dt = 1.0 / (2.0 * dim * a / h**2 + rate) if at_bound else "auto"
     cfg = SolverConfig(h=h, t_final=1.0, dt=dt)
-    lower, upper = ordered_pair(grid, level, spread, seed)
-    lo = GridFunction(lower, h, grid.origin)
-    up = GridFunction(upper, h, grid.origin)
-    for k in range(4):
-        lo, up = step(lo, 0.0, p, cfg), step(up, 0.0, p, cfg)
-        for s in (lo, up):
-            assert np.min(s.values) >= -MAXPRINCIPLE_TOL
-            assert np.max(s.values) <= 1.0 + MAXPRINCIPLE_TOL
-        assert np.min(up.values - lo.values) >= -MAXPRINCIPLE_TOL, k
+    p = logistic_problem(dim, a, rate, h)
+    assert_comparison_and_maximum_principles(p, cfg, level, spread, seed)
+
+
+@PROPERTY
+@given(
+    rate=st.floats(0.1, 50.0),
+    a=st.floats(0.2, 3.0),
+    h=st.floats(0.05, 0.5),
+    level=st.floats(0.0, 1.0),
+    spread=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    at_bound=st.booleans(),
+)
+@example(rate=50.0, a=1.0, h=0.1, level=1.0, spread=0.05, seed=0, at_bound=False)
+@example(rate=50.0, a=1.0, h=0.1, level=1.0, spread=0.05, seed=0, at_bound=True)
+@example(rate=0.1, a=3.0, h=0.05, level=0.5, spread=0.5, seed=0, at_bound=True)
+def test_discrete_comparison_and_maximum_principles_under_imex(
+    rate, a, h, level, spread, seed, at_bound
+):
+    # implicit diffusion: only dt*L <= 1 bounds dt, so dt = 1/L is far past
+    # the explicit bound
+    cfg = SolverConfig(
+        h=h, t_final=1.0, dt=1.0 / rate if at_bound else "auto", scheme="imex-diffusion-implicit"
+    )
+    p = logistic_problem(1, a, rate, h)
+    assert_comparison_and_maximum_principles(p, cfg, level, spread, seed)
