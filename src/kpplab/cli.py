@@ -9,9 +9,11 @@ import argparse
 import copy
 import json
 import math
+import shutil
 import sys
 from itertools import product
 from multiprocessing import get_context
+from operator import itemgetter
 from pathlib import Path
 
 from . import analysis as an
@@ -19,7 +21,7 @@ from . import tumor as tu
 from .config import RunSetup, SchemaError, load_config, parse_config, read_config
 from .csvio import FLOAT, fmt, open_csv, write_csv
 from .model import validate_problem
-from .solver import NumericalError, solve
+from .solver import NumericalError, Trajectory, solve
 from .verify import SUITES, run_suite
 
 
@@ -39,8 +41,9 @@ def _write_trajectory(traj, outdir: Path) -> None:
             fh.write("".join(map(row.__mod__, cells)))
 
 
-def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
-    """Solve, certify, and write artifacts; returns headline metrics."""
+def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, list[str]]:
+    """Solve and certify the untreated run and write its artifacts; returns the
+    trajectory, its headline metrics and the names of the files written."""
     outdir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {}
     report = validate_problem(setup.problem)
@@ -49,6 +52,7 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
 
     traj = solve(setup.problem, setup.solver, validate=False)
     _write_trajectory(traj, outdir)
+    written = ["trajectory.csv"]
 
     cert_lines = ["hypothesis report", report.summary(), ""]
     opts = setup.analysis
@@ -63,6 +67,7 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
             ["eps", "T_eps"],
             sorted(cert.T_eps.items()),
         )
+        written += ["inf_rhs.csv", "t_eps.csv"]
         metrics["tau_star"] = cert.tau_star_estimate
         finite = [v for v in cert.T_eps.values() if math.isfinite(v)]
         metrics["T_eps_min"] = min(finite) if finite else math.inf
@@ -72,6 +77,7 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
             curve = an.level_curve(traj, level, opts.side)
             name = "level_pos.csv" if k == 0 else f"level_pos_{k + 1}.csv"
             write_csv(outdir / name, ["t", "level_pos"], curve)
+            written.append(name)
             if opts.speed_window is not None:
                 try:
                     speed = an.spreading_speed(traj, level, opts.speed_window, opts.side)
@@ -87,60 +93,73 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
     except an.HypothesisMismatchError:
         pass
 
-    if setup.schedule is not None:
-        proto = tu.run_protocol(traj, setup.schedule)
-        write_csv(
-            outdir / "protocol.csv",
-            ["t", "S", "mass", "event_flag"],
-            [(pt.t, pt.S, pt.mass, pt.event_flag) for pt in proto.series],
-        )
-        write_csv(
-            outdir / "protocol_events.csv",
-            [
-                "t0",
-                "beta",
-                "sigma",
-                "S_before",
-                "S_after",
-                "mass_before",
-                "mass_after",
-                "boundary_rhs_min",
-                "dS_sign",
-                "dmass_sign",
-                "grazing",
-            ],
-            [
-                (
-                    ev.t0,
-                    ev.beta,
-                    setup.schedule.sigma_img,
-                    ev.S_before,
-                    ev.S_after,
-                    ev.mass_before,
-                    ev.mass_after,
-                    ev.boundary_rhs_min,
-                    ev.dS_sign_next,
-                    ev.dmass_sign_next,
-                    int(ev.grazing),
-                )
-                for ev in proto.events
-            ],
-        )
-        if proto.events:
-            ev = proto.events[0]
-            metrics.update(
-                beta=ev.beta,
-                sigma=setup.schedule.sigma_img,
-                t0=ev.t0,
-                dS_sign=ev.dS_sign_next,
-                dmass_sign=ev.dmass_sign_next,
-                boundary_rhs_min=ev.boundary_rhs_min,
-            )
-        metrics["S_final"] = proto.series[-1].S
-        metrics["mass_final"] = proto.series[-1].mass
-
     (outdir / "certificate.txt").write_text("\n".join(cert_lines) + "\n")
+    written.append("certificate.txt")
+    return traj, metrics, written
+
+
+def _run_protocol(setup: RunSetup, traj: Trajectory, outdir: Path, metrics: dict) -> dict:
+    """Run the treatment schedule on from the untreated ``traj``, write the two
+    protocol CSVs and add the protocol's metrics to ``metrics``; returns it."""
+    if setup.schedule is None:
+        return metrics
+    proto = tu.run_protocol(traj, setup.schedule)
+    write_csv(
+        outdir / "protocol.csv",
+        ["t", "S", "mass", "event_flag"],
+        [(pt.t, pt.S, pt.mass, pt.event_flag) for pt in proto.series],
+    )
+    write_csv(
+        outdir / "protocol_events.csv",
+        [
+            "t0",
+            "beta",
+            "sigma",
+            "S_before",
+            "S_after",
+            "mass_before",
+            "mass_after",
+            "boundary_rhs_min",
+            "dS_sign",
+            "dmass_sign",
+            "grazing",
+        ],
+        [
+            (
+                ev.t0,
+                ev.beta,
+                setup.schedule.sigma_img,
+                ev.S_before,
+                ev.S_after,
+                ev.mass_before,
+                ev.mass_after,
+                ev.boundary_rhs_min,
+                ev.dS_sign_next,
+                ev.dmass_sign_next,
+                int(ev.grazing),
+            )
+            for ev in proto.events
+        ],
+    )
+    if proto.events:
+        ev = proto.events[0]
+        metrics.update(
+            beta=ev.beta,
+            sigma=setup.schedule.sigma_img,
+            t0=ev.t0,
+            dS_sign=ev.dS_sign_next,
+            dmass_sign=ev.dmass_sign_next,
+            boundary_rhs_min=ev.boundary_rhs_min,
+        )
+    metrics["S_final"] = proto.series[-1].S
+    metrics["mass_final"] = proto.series[-1].mass
     return metrics
+
+
+def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
+    """Solve, certify, and write artifacts; returns headline metrics."""
+    traj, metrics, _ = _run_untreated(setup, outdir)
+    return _run_protocol(setup, traj, outdir, metrics)
 
 
 def cmd_run(args) -> int:
@@ -191,70 +210,125 @@ def _set_path(data: dict, dotted: str, value) -> None:
     node[last] = value
 
 
+def _describe(assignment) -> str:
+    return ", ".join(f"{k}={v!r}" for k, v in assignment)
+
+
 def _axis_column(dotted: str) -> str:
     last = dotted.split(".")[-1]
     return last if not last.lstrip("-").isdigit() else dotted.replace(".", "_")
 
 
-def _point_setup(data: dict, assignment) -> RunSetup:
-    """The run setup of one sweep point: the base config with its axis values."""
+def _point_data(data: dict, assignment) -> dict:
+    """The config of one sweep point: the base config with its axis values."""
     data = copy.deepcopy(data)
     for dotted, value in assignment:
         _set_path(data, dotted, value)
-    return parse_config(data)
+    return data
 
 
-def _sweep_worker(payload) -> dict:
-    data, assignment, outdir = payload
-    setup = _point_setup(data, assignment)
-    tag = "_".join(f"{_axis_column(k)}={v:g}" for k, v in assignment) or "single"
-    metrics = _run_pipeline(setup, Path(outdir) / tag)
-    row = {_axis_column(k): v for k, v in assignment}
-    row.update(metrics)
-    return row
+def _point_dir(assignment) -> str:
+    return "_".join(f"{_axis_column(k)}={v:g}" for k, v in assignment) or "single"
+
+
+def _sweep_worker(payload) -> list[tuple[int, dict]]:
+    """Run one chunk of sweep points that share everything but the tumor
+    block: the untreated run once, into the first point's directory, copies
+    of its files for the others, then each point's protocol from the shared
+    trajectory. Returns (index, row) per point."""
+    data, chunk, outdir = payload
+    traj = metrics = written = first = None
+    rows = []
+    for index, assignment in chunk:
+        setup = parse_config(_point_data(data, assignment))
+        pointdir = Path(outdir) / _point_dir(assignment)
+        if traj is None:
+            traj, metrics, written = _run_untreated(setup, pointdir)
+            first = pointdir
+        else:
+            pointdir.mkdir(parents=True, exist_ok=True)
+            for name in written:
+                shutil.copyfile(first / name, pointdir / name)
+        row = {_axis_column(k): v for k, v in assignment}
+        row.update(_run_protocol(setup, traj, pointdir, dict(metrics)))
+        rows.append((index, row))
+    return rows
+
+
+def _parse_axes(specs) -> list[tuple[str, list[float]]]:
+    axes: list[tuple[str, list[float]]] = []
+    columns: dict[str, str] = {}
+    for spec in specs:
+        if "=" not in spec:
+            raise SchemaError(f"axis '{spec}' must look like key.path=v1,v2,...")
+        dotted, _, values = spec.partition("=")
+        column = _axis_column(dotted)
+        if column in columns:
+            raise SchemaError(
+                f"axes '{columns[column]}' and '{dotted}' share the sweep.csv column '{column}'."
+            )
+        columns[column] = dotted
+        parsed = []
+        for tok in values.split(","):
+            try:
+                parsed.append(json.loads(tok))
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"axis value '{tok}' is not a number.") from exc
+            if not isinstance(parsed[-1], (int, float)):
+                raise SchemaError(f"axis value '{tok}' is not a number.")
+        axes.append((dotted, parsed))
+    return axes
+
+
+def _chunks(groups: list[list], workers: int) -> list[list]:
+    """Each group split into ceil(workers / groups) strided chunks: one chunk
+    per group unless there are fewer groups than workers."""
+    split = math.ceil(workers / len(groups))
+    return [chunk for group in groups for chunk in (group[k::split] for k in range(split)) if chunk]
 
 
 def cmd_sweep(args) -> int:
     try:
         data = read_config(args.config)
-        axes: list[tuple[str, list[float]]] = []
-        for spec in args.axis or []:
-            if "=" not in spec:
-                raise SchemaError(f"axis '{spec}' must look like key.path=v1,v2,...")
-            dotted, _, values = spec.partition("=")
-            parsed = []
-            for tok in values.split(","):
-                try:
-                    parsed.append(json.loads(tok))
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"axis value '{tok}' is not a number.") from exc
-                if not isinstance(parsed[-1], (int, float)):
-                    raise SchemaError(f"axis value '{tok}' is not a number.")
-            axes.append((dotted, parsed))
+        axes = _parse_axes(args.axis or [])
         assignments: list[tuple[tuple[str, float], ...]] = [()]
         for dotted, values in axes:
             assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
         if args.jobs < 1:
             raise SchemaError(f"--jobs must be at least 1, got {args.jobs}.")
-        for assignment in assignments:  # every point is checked before any runs
-            _point_setup(data, assignment)
+        groups: dict[str, list] = {}
+        dirs: dict[str, tuple] = {}
+        for index, assignment in enumerate(assignments):  # every point is checked before any runs
+            point = _point_data(data, assignment)
+            parse_config(point)
+            name = _point_dir(assignment)
+            if name in dirs:
+                raise SchemaError(
+                    f"sweep points {_describe(dirs[name])} and {_describe(assignment)} "
+                    f"share the directory '{name}'."
+                )
+            dirs[name] = assignment
+            untreated = json.dumps({k: v for k, v in point.items() if k != "tumor"}, sort_keys=True)
+            groups.setdefault(untreated, []).append((index, assignment))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    payloads = [(data, assignment, str(outdir)) for assignment in assignments]
+    chunks = _chunks(list(groups.values()), min(args.jobs, len(assignments)))
+    payloads = [(data, chunk, str(outdir)) for chunk in chunks]
     workers = min(args.jobs, len(payloads))
     try:
         if workers > 1:
             with get_context("fork").Pool(processes=workers) as pool:
-                rows = pool.map(_sweep_worker, payloads)
+                done = pool.map(_sweep_worker, payloads)
         else:
-            rows = [_sweep_worker(pl) for pl in payloads]
+            done = [_sweep_worker(pl) for pl in payloads]
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    rows = [row for _, row in sorted((pair for chunk in done for pair in chunk), key=itemgetter(0))]
 
     columns: list[str] = []
     for row in rows:

@@ -128,8 +128,9 @@ class _Stepper:
             self.a_max = float(max(np.max(self.faces_x), np.max(self.faces_y)))
             self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y[1:-1], indexing="ij"))
             self._div = _div_2d(self.faces_x, self.faces_y, self.inv_h2, self.f_interior)
-        self._solve = None  # dpttrs bound to the factor of I - dt*A for dt = _solve_dt
-        self._solve_dt = None
+        # dt -> dpttrs bound to the factor of I - dt*A, for the largest dt seen
+        # (the march's full step) and the last shorter one
+        self._solves: dict[float, Callable] = {}
 
     @cached_property
     def lipschitz(self) -> float:
@@ -178,25 +179,29 @@ class _Stepper:
         The interior solves (I - dt*A) u_new = u + dt*f(u), A the diffusion
         matrix with the held boundary nodes moved to the right-hand side.
         I - dt*A is a symmetric positive definite tridiagonal M-matrix: LAPACK
-        dpttrf factors it once per dt and dpttrs solves with the factor on
-        every step. The boundary nodes are not touched."""
+        dpttrf factors it and dpttrs solves with the factor on every step. The
+        factor of the full step is kept while a shortened step that lands on
+        a snapshot is factored on its own, so the march factors the full dt
+        once. The boundary nodes are not touched."""
         if self.grid.dim != 1:
             raise NotImplementedError("IMEX scheme is implemented in 1D only.")
-        if self._solve_dt != dt:
+        factored = self._solves.get(dt)
+        if factored is None:
             # the only import of scipy: runs that never step IMEX never load it
             from scipy.linalg.lapack import dpttrf, dpttrs
 
             diag = 1.0 + dt * (self.faces[:-1] + self.faces[1:]) * self.inv_h2
             d, e, info = dpttrf(diag, -dt * self.faces[1:-1] * self.inv_h2)
             _check_lapack("dpttrf", info, dt)
-            self._solve = partial(dpttrs, d, e, overwrite_b=True)
-            self._solve_dt = dt
+            factored = partial(dpttrs, d, e, overwrite_b=True)
+            full = max(self._solves, default=dt)
+            self._solves = {full: self._solves.get(full, factored), dt: factored}
         star = u[1:-1]
         if self.f_interior is not None:
             star += dt * self.f_interior(star)
         star[0] += dt * self.faces[0] * u[0] * self.inv_h2
         star[-1] += dt * self.faces[-1] * u[-1] * self.inv_h2
-        new, info = self._solve(star)
+        new, info = factored(star)
         _check_lapack("dpttrs", info, dt)
         u[1:-1] = new
         return u

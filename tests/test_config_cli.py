@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -286,12 +287,107 @@ def test_cli_sweep_checks_every_point_before_running(tmp_path, capsys):
 def test_cli_sweep_parallel_matches_serial(tmp_path):
     data = json.loads(json.dumps(MINIMAL))
     data["analysis"] = {}
+    # two groups of one point, and one group of three points split over the workers
+    for name, base, axis, files in (
+        ("rate", data, "problem.reaction.rate=0.5,1.0", 1 + 2 * 2),
+        ("sigma", dict(data, tumor=TREATED["tumor"]), "tumor.sigma_img=0.3,0.5,0.7", 1 + 3 * 4),
+    ):
+        cfg = write_config(tmp_path, base, f"{name}.json")
+        out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        argv = ["sweep", "--config", str(cfg), "--axis", axis]
+        assert main(argv + ["--out", str(out1), "--jobs", "1"]) == 0
+        assert main(argv + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert tree(out1) == tree(out2) and len(tree(out1)) == files
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class SerialPool:
+    """A pool that runs its tasks in this process, so that calls can be counted."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+TREATED = dict(MINIMAL, tumor={"events": [[4.0, 0.5]], "sigma_img": 0.3})
+
+# (axes, --jobs, untreated solves): a problem axis crossed with two tumor axes
+# is two groups of four points; a tumor-only sweep is one group, split in two
+# chunks when two workers would otherwise get one
+SHARED_SWEEPS = [
+    (["problem.reaction.rate=0.5,1", "tumor.sigma_img=0.3,0.5", "tumor.events.0.1=0.4,0.6"], "1", 2),
+    (["tumor.sigma_img=0.3,0.4,0.5,0.6,0.7"], "2", 2),
+]
+
+
+@pytest.mark.parametrize("axes,jobs,untreated", SHARED_SWEEPS)
+def test_sweep_points_equal_plain_runs(tmp_path, monkeypatch, axes, jobs, untreated):
+    starts = []
+    for module in (cli, cli.tu):
+        def recording(*args, original=module.solve, **kwargs):
+            starts.append(kwargs.get("start"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve", recording)
+    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    cfg = write_config(tmp_path, TREATED)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
+    assert main(argv + [a for axis in axes for a in ("--axis", axis)]) == 0
+    assert sum(start is None for start in starts) == untreated  # once per chunk
+    got = tree(out)
+    paths = [axis.split("=")[0] for axis in axes]
+    values = [[float(v) for v in axis.split("=")[1].split(",")] for axis in axes]
+    assignments = [tuple(zip(paths, point)) for point in product(*values)]
+    assert len(got["sweep.csv"].decode().splitlines()) == 1 + len(assignments)
+    for assignment in assignments:
+        point = cli._point_dir(assignment)
+        plain = tmp_path / "plain" / point
+        cli._run_pipeline(parse_config(cli._point_data(TREATED, assignment)), plain)
+        want = tree(plain)
+        assert {k: v for k, v in got.items() if k.startswith(point + "/")} == {
+            f"{point}/{k}": v for k, v in want.items()
+        }
+        assert "protocol.csv" in want and "trajectory.csv" in want
+    assert len(got) == 1 + len(assignments) * len(want)
+
+
+def test_sweep_points_that_share_a_directory_are_a_schema_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, TREATED)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--axis"]
+    for values in ("0.30000001,0.30000002", "0.3,0.3"):
+        assert main(argv + [f"tumor.sigma_img={values}"]) == 2
+        err = capsys.readouterr().err
+        first, second = values.split(",")
+        assert err.startswith("config error") and "'sigma_img=0.3'" in err
+        assert f"tumor.sigma_img={first} and tumor.sigma_img={second}" in err
+        assert not out.exists()
+
+
+def test_sweep_axes_that_share_a_column_are_a_schema_error(tmp_path, capsys):
+    coefficient = {"kind": "piecewise", "a_minus": 1.0, "a_plus": 2.0, "radius": 5.0}
+    data = with_key(("problem",), "coefficient", coefficient)
     cfg = write_config(tmp_path, data)
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    argv = ["sweep", "--config", str(cfg), "--axis", "problem.reaction.rate=0.5,1.0"]
-    assert main(argv + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert main(argv + ["--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+    for second in ("problem.reaction.radius=8,9", "problem.coefficient.radius=6"):
+        axes = ["--axis", "problem.coefficient.radius=4,5", "--axis", second]
+        assert main(argv + axes) == 2
+        err = capsys.readouterr().err
+        assert "'problem.coefficient.radius' and" in err and "column 'radius'" in err
+        assert not out.exists()
 
 
 def test_cli_run_two_dimensional_trajectory_layout(tmp_path):

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from kpplab import analysis as an
 from kpplab.grids import Grid
-from kpplab.model import Bump, Logistic, Piecewise, Problem
-from kpplab.solver import NumericalError, SolverConfig, _Stepper, solve
+from kpplab.model import Bump, Logistic, Piecewise, Problem, homogeneous_kpp, make_initial
+from kpplab.solver import NumericalError, SolverConfig, _march, _Stepper, solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 IMEX = "imex-diffusion-implicit"
@@ -91,6 +91,33 @@ def test_short_imex_run_keeps_the_reference_certificates(monkeypatch):
     (T_eps, tau_star), reference = certificates
     assert (T_eps, tau_star) == reference
     assert all(np.isfinite(list(T_eps.values()))) and np.isfinite(tau_star)
+
+
+def test_a_run_factors_its_full_step_once(monkeypatch):
+    # A fresh stepper per step factors every step: the same dt gives the same
+    # factor, so the run must match it to the bit while factoring dt once.
+    from scipy.linalg import lapack
+
+    p = homogeneous_kpp(half_width=200.0)
+    cfg = SolverConfig(h=0.05, t_final=80.0, dt=0.05, scheme=IMEX, snapshot_every=1.0)
+    grid = Grid.centered(p.half_width, cfg.h, 1)
+    steps = []
+
+    def fresh(u, dt):
+        steps.append(dt)
+        return _Stepper(p.coefficient, p.reaction, grid).step_imex(u, dt)
+
+    u0 = make_initial(p.initial, grid).values
+    for _, want in _march(u0, 0.0, cfg.resolved_snapshot_times(), cfg.dt, fresh):
+        pass
+    shortened = sum(dt != cfg.dt for dt in steps)
+    factorizations = []
+    dpttrf = lapack.dpttrf
+    monkeypatch.setattr(lapack, "dpttrf", lambda *a: factorizations.append(1) or dpttrf(*a))
+    traj = solve(p, cfg, validate=False)
+    assert len(traj.snapshots) == 81 and shortened > 0
+    assert len(factorizations) <= 1 + shortened
+    assert np.array_equal(traj.snapshots[-1].u.values, want)
 
 
 def test_matrix_that_is_not_positive_definite_is_a_numerical_error():

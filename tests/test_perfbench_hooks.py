@@ -13,6 +13,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from kpplab import tumor
 from kpplab.cli import main
 from kpplab.config import KINDS, load_config
@@ -66,12 +68,25 @@ def test_pinned_1d_runs_match_the_benchmark_digests(tmp_path):
     for name in sorted({key.split("/")[0] for key in want}):
         argv = ["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path / name)]
         assert main(argv) == 0, name
-    got = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in tmp_path.rglob("*")
+    assert digests(tmp_path) == want
+
+
+def digests(root: Path) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*")
         if path.is_file()
     }
-    assert got == want
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_seed0_tumor_sweep_matches_the_benchmark_digests(tmp_path, jobs):
+    want = json.loads((PERFBENCH / "digests.json").read_text())["sweep-tumor"]
+    argv = ["sweep", "--config", str(CONFIGS / "tumor_sweep.json")]
+    for dotted, values in load("inputs.py")["SWEEP_AXES"]:
+        argv += ["--axis", f"{dotted}=" + ",".join(repr(float(v)) for v in values)]
+    assert main(argv + ["--out", str(tmp_path / "tumor_sweep"), "--jobs", jobs]) == 0
+    assert digests(tmp_path) == want and len(want) == 33
 
 
 def test_protocol_solves_through_tumor_solve_from_the_event(monkeypatch):
