@@ -16,29 +16,40 @@ from multiprocessing import get_context
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis as an
 from . import tumor as tu
 from .config import RunSetup, SchemaError, load_config, parse_config, read_config
-from .csvio import FLOAT, fmt, open_csv, write_csv
+from .csvio import FLOAT, fmt, format_floats, open_csv, write_csv
 from .model import validate_problem
 from .solver import NumericalError, Trajectory, solve
 from .verify import SUITES, run_suite
 
 
+# Rows formatted per write: the writer holds one block of text, not a snapshot's.
+BLOCK_ROWS = 4096
+
+
 def _write_trajectory(traj, outdir: Path) -> None:
     """Write trajectory.csv one snapshot at a time, rows ordered by t, then x (then y)."""
     axes = ["x"] if traj.problem.dimension == 1 else ["x", "y"]
-    coords = None
+    cells = None  # one row per cell: coordinates, u, rhs
     with open_csv(outdir / "trajectory.csv", ["t", *axes, "u", "rhs"]) as fh:
         for snap in traj:
-            if coords is None:
+            if cells is None:
                 # Every snapshot is on the same grid, so its axes are formatted once;
                 # product() gives the 2D cells in i-major, j-minor order, as ravel() does.
                 strings = [[FLOAT % v for v in snap.u.axis(k).tolist()] for k in range(len(axes))]
-                coords = [",".join(c) for c in product(*strings)]
-            row = f"{fmt(snap.t)},%s,{FLOAT},{FLOAT}\n"
-            cells = zip(coords, snap.u.values.ravel().tolist(), snap.rhs.values.ravel().tolist())
-            fh.write("".join(map(row.__mod__, cells)))
+                cells = np.empty((snap.u.values.size, 3), dtype=object)
+                cells[:, 0] = [",".join(c) for c in product(*strings)]
+            n = len(cells)
+            text = format_floats(np.concatenate([snap.u.values.ravel(), snap.rhs.values.ravel()]))
+            cells[:, 1], cells[:, 2] = text[:n], text[n:]
+            row = f"{fmt(snap.t)},%s,%s,%s\n"
+            for lo in range(0, n, BLOCK_ROWS):
+                block = cells[lo : lo + BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, list[str]]:

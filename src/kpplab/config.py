@@ -52,6 +52,12 @@ class RunSetup:
                 f"{_at('solver.scheme')}: 'imex-diffusion-implicit' is one-dimensional only, "
                 f"but problem.dimension is {self.problem.dimension}."
             )
+        t_final = self.solver.t_final
+        if self.schedule is not None and any(not 0 < t < t_final for t, _ in self.schedule.events):
+            raise SchemaError(
+                f"{_at('tumor.events')}: every event time must lie strictly inside "
+                f"(0, solver.t_final) = (0, {t_final:g})."
+            )
 
 
 # block path -> {kind: class}; a kind's keys are its class's fields

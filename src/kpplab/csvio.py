@@ -4,6 +4,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 # The one spelling of a float in every CSV artifact; 17 significant digits
 # round-trip any double, and inf, -inf and nan come out as those words.
 FLOAT = "%.17g"
@@ -13,6 +15,16 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return FLOAT % value
     return str(value)
+
+
+def format_floats(values: np.ndarray) -> np.ndarray:
+    """The FLOAT spelling of each element of the 1D float64 array ``values``, as
+    an object array in the same order. Each distinct bit pattern is formatted
+    once, so -0 and 0, and NaNs with different payloads, are each spelled from
+    their own bits."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    spelled = np.array([FLOAT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return spelled[inverse]
 
 
 def open_csv(path, header: Sequence[str]) -> TextIO:

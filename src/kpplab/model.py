@@ -246,16 +246,26 @@ class PiecewiseKPP(Blend, Reaction):
         if not self.radius > 0:
             raise ValueError("blend radius must be positive.")
 
+    def unit_tent(self, u) -> np.ndarray:
+        """min(u, theta*(1-u)/(1-theta)): the tent profile at rate 1."""
+        u = np.asarray(u, dtype=float)
+        return np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
+
     def tent(self, u, rate: float) -> np.ndarray:
         """Tent profile rate*min(u, theta*(1-u)/(1-theta)); linear on [0,theta]."""
-        u = np.asarray(u, dtype=float)
-        return rate * np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
+        return rate * self.unit_tent(u)
 
     def bind(self, points) -> Callable[..., np.ndarray]:
         w = self.blend_weight(_first_coord(points))
-        return lambda u, out=None: np.add(
-            w * self.tent(u, self.rate_plus), (1.0 - w) * self.tent(u, self.rate_minus), out=out
-        )
+        w_minus = 1.0 - w
+
+        def f(u, out=None):
+            # the same products as w*tent(u, rate_plus) + (1-w)*tent(u, rate_minus),
+            # with the shared profile evaluated once
+            core = self.unit_tent(u)
+            return np.add(w * (self.rate_plus * core), w_minus * (self.rate_minus * core), out=out)
+
+        return f
 
     def lipschitz_bound(self, xs=None) -> float:
         slope_up = max(self.rate_minus, self.rate_plus)

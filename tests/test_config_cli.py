@@ -544,3 +544,25 @@ def test_two_dimensional_imex_is_a_schema_error(tmp_path, capsys):
     assert main(argv) == 2
     assert "'scheme'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("time", [0.0, -1.0, 8.0, 20.0])
+def test_event_outside_the_run_is_a_schema_error(tmp_path, capsys, time):
+    data = json.loads(json.dumps(TREATED))
+    # a late time follows an event at 2, so the times still increase
+    data["tumor"]["events"] = [[2.0, 0.5], [time, 0.5]] if time > 0 else [[time, 0.5]]
+    with pytest.raises(SchemaError, match="key 'events' in block 'tumor'"):
+        parse_config(data)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'events'" in err and "Traceback" not in err
+    assert not out.exists()
+    # a sweep whose second point moves the event out of (0, t_final) runs none of its points
+    cfg = write_config(tmp_path, TREATED)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out), "--axis", f"tumor.events.0.0=4,{time}"]
+    assert main(argv) == 2
+    assert "'events'" in capsys.readouterr().err
+    assert not out.exists()

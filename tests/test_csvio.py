@@ -1,7 +1,8 @@
 """Byte contract of the CSV artifacts.
 
-``trajectory.csv`` is written one snapshot at a time with each grid axis
-formatted once. The reference below is the straightforward writer it
+``trajectory.csv`` is written one snapshot at a time, in blocks of rows, with
+each grid axis formatted once and each distinct bit pattern of a snapshot's
+values formatted once. The reference below is the straightforward writer it
 replaced: one tuple per cell, every value through ``fmt``, with the explicit
 infinity branch ``fmt`` used to have. Both must produce the same bytes.
 """
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kpplab.cli import _write_trajectory
+from kpplab.cli import BLOCK_ROWS, _write_trajectory
 from kpplab.config import parse_config
 from kpplab.csvio import write_csv
 from kpplab.grids import GridFunction
@@ -61,19 +62,30 @@ def written_bytes(traj, tmp_path: Path) -> bytes:
     return (tmp_path / "trajectory.csv").read_bytes()
 
 
-def hand_built(shape, times, h=0.1, seed=0) -> Trajectory:
-    """Snapshots on a grid with a non-dyadic spacing; SPECIAL values sit in u and rhs."""
-    rng = np.random.default_rng(seed)
+def trajectory_of(fields, times, h=0.1) -> Trajectory:
+    """Snapshots (t, u, rhs) with ``fields`` = [(u, rhs), ...] on a grid with a
+    non-dyadic spacing."""
+    shape = fields[0][0].shape
     origin = tuple(-h * (n // 2) - 1 / 3 for n in shape)
-    snaps = []
-    for k, t in enumerate(times):
+    snaps = [
+        Snapshot(t=t, u=GridFunction(u, h, origin), rhs=GridFunction(rhs, h, origin))
+        for t, (u, rhs) in zip(times, fields)
+    ]
+    return Trajectory(problem=SimpleNamespace(dimension=len(shape)), config=None, snapshots=snaps)
+
+
+def hand_built(shape, times, h=0.1, seed=0) -> Trajectory:
+    """Random snapshots; SPECIAL values sit in u and rhs."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for k in range(len(times)):
         u = rng.uniform(0.0, 1.0, shape)
         rhs = rng.normal(0.0, 1e-3, shape)
         idx = (k + 3 * np.arange(len(SPECIAL))) % u.size
         u.flat[idx] = SPECIAL
         rhs.flat[(idx + 1) % rhs.size] = SPECIAL[::-1]
-        snaps.append(Snapshot(t=t, u=GridFunction(u, h, origin), rhs=GridFunction(rhs, h, origin)))
-    return Trajectory(problem=SimpleNamespace(dimension=len(shape)), config=None, snapshots=snaps)
+        fields.append((u, rhs))
+    return trajectory_of(fields, times, h)
 
 
 TIMES = [0.0, 1 / 3, 2 / 3, np.float64(1.0) / 3, 0.1 + 0.2, 1e-7, 12.5]
@@ -99,6 +111,31 @@ def test_trajectory_bytes_match_reference_2d(tmp_path):
     assert data.count(b"\n") == 1 + 9 * 13 * 4
 
 
+def test_values_shared_by_u_and_rhs_keep_their_own_bits(tmp_path):
+    # -0 and 0, and two NaNs that differ only in payload, are distinct bit patterns
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    pool = np.array([0.0, -0.0, *nans, 1 / 3, 0.1 + 0.2, 5e-324, -5e-324, math.inf, 1.0])
+    rng = np.random.default_rng(2)
+    fields = [(rng.choice(pool, (7, 5)), rng.choice(pool, (7, 5))) for _ in range(3)]
+    fields[0][1][:] = fields[0][0]  # rhs repeats u cell for cell
+    traj = trajectory_of(fields, TIMES[:3])
+    data = written_bytes(traj, tmp_path)
+    assert data == reference_trajectory_bytes(traj)
+    body = data.decode().splitlines()[1:]
+    u0 = [line.split(",")[3] for line in body[:35]]
+    assert u0 == [line.split(",")[4] for line in body[:35]]
+    assert {"0", "-0", "nan", "4.9406564584124654e-324", "-4.9406564584124654e-324"} <= set(u0)
+
+
+def test_snapshot_larger_than_a_write_block(tmp_path):
+    # the rows of one snapshot span several blocks, the last one partly filled
+    cells = 2 * BLOCK_ROWS + 37
+    traj = hand_built((cells,), TIMES[:2], seed=3)
+    data = written_bytes(traj, tmp_path)
+    assert data == reference_trajectory_bytes(traj)
+    assert data.count(b"\n") == 1 + 2 * cells
+
+
 def test_trajectory_of_no_snapshots_is_header_only(tmp_path):
     traj = Trajectory(problem=SimpleNamespace(dimension=2), config=None, snapshots=[])
     assert written_bytes(traj, tmp_path) == b"t,x,y,u,rhs\n"
@@ -115,12 +152,20 @@ def test_solved_trajectory_bytes_match_reference(tmp_path):
         },
         "solver": {"h": 0.1, "t_final": 1.0, "snapshot_every": 1 / 3},
     }
-    for dim in (1, 2):
-        base["problem"]["dimension"] = dim
+    # a constant coefficient on a dyadic grid: the nodes, and with them the
+    # solution, are symmetric about both axes and the diagonal bit for bit
+    sine, symmetric = base["problem"]["coefficient"], {"kind": "constant", "value": 1.0}
+    for dim, coefficient, h in ((1, sine, 0.1), (2, sine, 0.1), (2, symmetric, 0.25)):
+        base["problem"].update(dimension=dim, coefficient=coefficient)
+        base["solver"]["h"] = h
         setup = parse_config(base)
         traj = solve(setup.problem, setup.solver, validate=False)
-        out = tmp_path / f"d{dim}"
-        assert written_bytes(traj, out) == reference_trajectory_bytes(traj), dim
+        out = tmp_path / f"d{dim}_{coefficient['kind']}"
+        assert written_bytes(traj, out) == reference_trajectory_bytes(traj), out.name
+    u = traj.snapshots[-1].u.values
+    assert np.array_equal(u, u[::-1]) and np.array_equal(u, u.T)
+    values = np.concatenate([u.ravel(), traj.snapshots[-1].rhs.values.ravel()])
+    assert np.unique(values.view(np.int64)).size < values.size / 4
 
 
 def test_write_csv_row_of_mixed_types(tmp_path):
