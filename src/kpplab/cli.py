@@ -6,11 +6,16 @@ Exit codes: 0 success, 1 verification failure, 2 schema/usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
+import os
 import shutil
+import signal
+import struct
 import sys
+import time
 from itertools import product
 from multiprocessing import get_context
 from operator import itemgetter
@@ -22,8 +27,9 @@ from . import analysis as an
 from . import tumor as tu
 from .config import RunSetup, SchemaError, load_config, parse_config, read_config
 from .csvio import FLOAT, fmt, format_floats, open_csv, write_csv
+from .grids import GridFunction
 from .model import validate_problem
-from .solver import NumericalError, Trajectory, solve
+from .solver import NumericalError, Snapshot, Trajectory, solve
 from .verify import SUITES, run_suite
 
 
@@ -52,60 +58,166 @@ def _write_trajectory(traj, outdir: Path) -> None:
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+class _TrajectoryWriter:
+    """Writes ``outdir/trajectory.csv`` in a forked child process while the
+    caller goes on solving (POSIX fork).
+
+    ``send`` passes each snapshot through a pipe as raw bits: a tag byte, a
+    header with t, h and the grid's origin and shape, then the u and rhs
+    values. The child rebuilds the snapshots and runs `_write_trajectory` on
+    them, so the file has the bytes of an in-process write, NaN payloads and
+    -0 included. ``close`` ends the stream. Leaving the ``with`` block waits
+    for the child and raises OSError if it could not write the file. If the
+    block raises before ``close``, the child sees the stream end early and
+    removes its partial file, so an aborted run leaves no trajectory.csv."""
+
+    def __init__(self, problem, outdir: Path):
+        self.path = outdir / "trajectory.csv"
+        self._dim = problem.dimension
+        self._head = struct.Struct(f"=d{1 + self._dim}d{self._dim}q")  # t, h, origin, shape
+        read, write = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self._pid == 0:
+            os.close(write)
+            self._child(read, problem, outdir)
+        os.close(read)
+        self._pipe = open(write, "wb")
+
+    def _child(self, read: int, problem, outdir: Path) -> None:
+        """Write the file from the stream, then leave without running the
+        parent's exit handlers or flushing its buffers. Interrupts are the
+        parent's to handle: the child ends when the stream does."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        status = 1
+        try:
+            with open(read, "rb") as fh:
+                # the writer iterates once, taking each snapshot as it arrives
+                _write_trajectory(Trajectory(problem, None, self._received(fh)), outdir)
+            status = 0
+        except EOFError:
+            self.path.unlink(missing_ok=True)
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"kpplab: could not write {self.path}: {exc}\n".encode())
+        finally:
+            os._exit(status)
+
+    def _received(self, fh):
+        while (tag := fh.read(1)) == b"s":
+            t, h, *grid = self._head.unpack(_read_exactly(fh, self._head.size))
+            shape = tuple(grid[self._dim :])
+            u, rhs = np.frombuffer(_read_exactly(fh, 16 * math.prod(shape))).reshape(2, *shape)
+            gf = GridFunction(u, h, tuple(grid[: self._dim]))
+            yield Snapshot(t, gf, gf.with_values(rhs))
+        if tag != b"e":
+            raise EOFError("the snapshot stream ended before its end tag")
+
+    def send(self, snap: Snapshot) -> None:
+        u = snap.u
+        try:
+            self._pipe.write(b"s" + self._head.pack(snap.t, u.h, *u.origin, *u.values.shape))
+            self._pipe.write(np.ascontiguousarray(u.values))
+            self._pipe.write(np.ascontiguousarray(snap.rhs.values))
+        except BrokenPipeError:  # the child has exited early: joining says why
+            self._join()
+            raise
+
+    def close(self) -> None:
+        """End the stream: the child writes the rest of the file and exits."""
+        with contextlib.suppress(BrokenPipeError):  # a child that failed is reported by _join
+            self._pipe.write(b"e")
+            self._pipe.flush()
+
+    def _join(self) -> None:
+        with contextlib.suppress(BrokenPipeError):  # closes the pipe even so
+            self._pipe.close()
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise OSError(f"could not write {self.path}: the writer process exited with status {code}")
+
+    def __enter__(self) -> "_TrajectoryWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._join()
+        else:
+            with contextlib.suppress(OSError):  # the error already raised is the one to report
+                self._join()
+
+
+def _read_exactly(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise EOFError("the snapshot stream ended inside a snapshot")
+    return data
+
+
 def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, list[str]]:
     """Solve and certify the untreated run and write its artifacts; returns the
-    trajectory, its headline metrics and the names of the files written."""
+    trajectory, its headline metrics and the names of the files written.
+    trajectory.csv is written by a child process while the solve and the
+    certificates run, and is complete when this returns."""
     outdir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {}
     report = validate_problem(setup.problem)
     if setup.validate and not report.all_pass:
         raise NumericalError("problem fails hypothesis validation:\n" + report.summary())
 
-    traj = solve(setup.problem, setup.solver, validate=False)
-    _write_trajectory(traj, outdir)
-    written = ["trajectory.csv"]
+    with _TrajectoryWriter(setup.problem, outdir) as writer:
+        traj = solve(setup.problem, setup.solver, validate=False, on_snapshot=writer.send)
+        writer.close()
+        written = ["trajectory.csv"]
 
-    cert_lines = ["hypothesis report", report.summary(), ""]
-    opts = setup.analysis
-    if opts.eps_list:
-        cert = an.monotonicity_report(
-            traj, opts.eps_list, t_floor=opts.tau_floor, margin=opts.margin
-        )
-        cert_lines.append(cert.to_text())
-        write_csv(outdir / "inf_rhs.csv", ["t", "inf_rhs"], cert.inf_ut_curve)
-        write_csv(
-            outdir / "t_eps.csv",
-            ["eps", "T_eps"],
-            sorted(cert.T_eps.items()),
-        )
-        written += ["inf_rhs.csv", "t_eps.csv"]
-        metrics["tau_star"] = cert.tau_star_estimate
-        finite = [v for v in cert.T_eps.values() if math.isfinite(v)]
-        metrics["T_eps_min"] = min(finite) if finite else math.inf
+        cert_lines = ["hypothesis report", report.summary(), ""]
+        opts = setup.analysis
+        if opts.eps_list:
+            cert = an.monotonicity_report(
+                traj, opts.eps_list, t_floor=opts.tau_floor, margin=opts.margin
+            )
+            cert_lines.append(cert.to_text())
+            write_csv(outdir / "inf_rhs.csv", ["t", "inf_rhs"], cert.inf_ut_curve)
+            write_csv(
+                outdir / "t_eps.csv",
+                ["eps", "T_eps"],
+                sorted(cert.T_eps.items()),
+            )
+            written += ["inf_rhs.csv", "t_eps.csv"]
+            metrics["tau_star"] = cert.tau_star_estimate
+            finite = [v for v in cert.T_eps.values() if math.isfinite(v)]
+            metrics["T_eps_min"] = min(finite) if finite else math.inf
 
-    if setup.problem.dimension == 1 and opts.levels:
-        for k, level in enumerate(opts.levels):
-            curve = an.level_curve(traj, level, opts.side)
-            name = "level_pos.csv" if k == 0 else f"level_pos_{k + 1}.csv"
-            write_csv(outdir / name, ["t", "level_pos"], curve)
-            written.append(name)
-            if opts.speed_window is not None:
-                try:
-                    speed = an.spreading_speed(traj, level, opts.speed_window, opts.side)
-                    cert_lines.append(f"speed(level={level:g}) = {speed:.6g}")
-                    metrics.setdefault("speed", speed)
-                except ValueError as exc:
-                    cert_lines.append(f"speed(level={level:g}) unavailable: {exc}")
+        if setup.problem.dimension == 1 and opts.levels:
+            for k, level in enumerate(opts.levels):
+                curve = an.level_curve(traj, level, opts.side)
+                name = "level_pos.csv" if k == 0 else f"level_pos_{k + 1}.csv"
+                write_csv(outdir / name, ["t", "level_pos"], curve)
+                written.append(name)
+                if opts.speed_window is not None:
+                    try:
+                        speed = an.spreading_speed(traj, level, opts.speed_window, opts.side)
+                        cert_lines.append(f"speed(level={level:g}) = {speed:.6g}")
+                        metrics.setdefault("speed", speed)
+                    except ValueError as exc:
+                        cert_lines.append(f"speed(level={level:g}) unavailable: {exc}")
 
-    try:
-        cert2 = an.global_sign_report(traj, margin=opts.margin)
-        cert_lines.append(f"global sign time tau_global = {cert2.tau_global:g}")
-        metrics["tau_global"] = cert2.tau_global
-    except an.HypothesisMismatchError:
-        pass
+        try:
+            cert2 = an.global_sign_report(traj, margin=opts.margin)
+            cert_lines.append(f"global sign time tau_global = {cert2.tau_global:g}")
+            metrics["tau_global"] = cert2.tau_global
+        except an.HypothesisMismatchError:
+            pass
 
-    (outdir / "certificate.txt").write_text("\n".join(cert_lines) + "\n")
-    written.append("certificate.txt")
+        (outdir / "certificate.txt").write_text("\n".join(cert_lines) + "\n")
+        written.append("certificate.txt")
     return traj, metrics, written
 
 
@@ -192,7 +304,9 @@ def cmd_verify(args) -> int:
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     results = run_suite(args.suite, outdir)
+    print(f"verify {args.suite}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 1

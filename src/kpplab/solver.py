@@ -364,12 +364,14 @@ def solve(
     cfg: SolverConfig,
     validate: bool = True,
     start: Optional[Snapshot] = None,
+    on_snapshot: Optional[Callable[[Snapshot], None]] = None,
 ) -> Trajectory:
     """Run the problem to t_final, recording (t, u, rhs) snapshots.
 
     Snapshot times are absolute. Without ``start`` the run begins at t=0 from
     the problem's initial datum; with it, at ``start.t`` from ``start.u``, and
     it records start.t and every resolved snapshot time in (start.t, t_final].
+    ``on_snapshot(snap)`` runs on each snapshot right after it is recorded.
     Emits a boundary-leak warning past cfg.boundary_leak_tolerance and aborts
     past cfg.hard_leak_threshold (domain too small for the requested horizon).
     """
@@ -413,7 +415,10 @@ def solve(
             )
             warned = True
         gf = GridFunction(state.copy(), grid.h, grid.origin)
-        traj.snapshots.append(Snapshot(t=t, u=gf, rhs=gf.with_values(stepper.rhs(state))))
+        snap = Snapshot(t=t, u=gf, rhs=gf.with_values(stepper.rhs(state)))
+        traj.snapshots.append(snap)
+        if on_snapshot is not None:
+            on_snapshot(snap)
     return traj
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from itertools import product
 from pathlib import Path
@@ -185,7 +186,12 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys, command, case):
     assert "Traceback" not in err
 
 
-def test_cli_numerical_abort_exits_3(tmp_path):
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_numerical_abort_exits_3(tmp_path, capsys):
     small = json.loads(json.dumps(MINIMAL))
     small["problem"]["half_width"] = 10.0
     small["solver"]["t_final"] = 12.0
@@ -193,6 +199,12 @@ def test_cli_numerical_abort_exits_3(tmp_path):
     cfg = write_config(tmp_path, small)
     with pytest.warns(RuntimeWarning):
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    # the leak crosses hard_leak_threshold after snapshots have gone to the
+    # writer process: its partial file is removed and the process reaped
+    leak_t = float(re.search(r"exceeds hard threshold at t=(\S+);", capsys.readouterr().err)[1])
+    assert leak_t >= 2.0
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+    assert_no_child_left()
     # a user dt past the monotone bound dt*(2/h^2 + L) <= 1 is a numerical abort too
     small["solver"] = {"h": 0.1, "t_final": 1.0, "dt": 0.005}
     cfg = write_config(tmp_path, small)
@@ -221,8 +233,19 @@ def test_cli_verify_unknown_suite_exits_2():
 
 def test_cli_verify_green_passes(capsys):
     assert main(["verify", "green"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("PASS")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PASS")
+    assert re.fullmatch(r"verify green: \d+\.\d{3} s\n", captured.err)
+
+
+def test_trajectory_writer_failure_is_an_os_error(tmp_path, capfd):
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match="trajectory.csv"):
+        cli._run_untreated(parse_config(MINIMAL), out)
+    assert "could not write" in capfd.readouterr().err  # the writer process says why
+    assert (out / "trajectory.csv").is_dir()
+    assert_no_child_left()
 
 
 def test_cli_sweep_cross_product(tmp_path):
@@ -298,6 +321,7 @@ def test_cli_sweep_parallel_matches_serial(tmp_path):
         assert main(argv + ["--out", str(out1), "--jobs", "1"]) == 0
         assert main(argv + ["--out", str(out2), "--jobs", "2"]) == 0
         assert tree(out1) == tree(out2) and len(tree(out1)) == files
+        assert_no_child_left()  # neither pool workers nor trajectory writers
 
 
 def tree(root: Path) -> dict[str, bytes]:

@@ -4,15 +4,18 @@
 each grid axis formatted once and each distinct bit pattern of a snapshot's
 values formatted once. The reference below is the straightforward writer it
 replaced: one tuple per cell, every value through ``fmt``, with the explicit
-infinity branch ``fmt`` used to have. Both must produce the same bytes.
+infinity branch ``fmt`` used to have. Both must produce the same bytes, in
+process and in the forked child that ``kpplab run`` streams snapshots to.
 """
 import math
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from kpplab.cli import BLOCK_ROWS, _write_trajectory
+from kpplab.cli import BLOCK_ROWS, _TrajectoryWriter, _write_trajectory
 from kpplab.config import parse_config
 from kpplab.csvio import write_csv
 from kpplab.grids import GridFunction
@@ -57,9 +60,25 @@ def reference_trajectory_bytes(traj) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def written_bytes(traj, tmp_path: Path) -> bytes:
+    """trajectory.csv as written in process; the forked writer, sent the same
+    snapshots one by one, must write the same bytes."""
     _write_trajectory(traj, tmp_path)
-    return (tmp_path / "trajectory.csv").read_bytes()
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    forked = tmp_path / "forked"
+    forked.mkdir()
+    with _TrajectoryWriter(traj.problem, forked) as writer:
+        for snap in traj:
+            writer.send(snap)
+        writer.close()
+    assert_no_child_left()
+    assert (forked / "trajectory.csv").read_bytes() == data
+    return data
 
 
 def trajectory_of(fields, times, h=0.1) -> Trajectory:
@@ -128,8 +147,10 @@ def test_values_shared_by_u_and_rhs_keep_their_own_bits(tmp_path):
 
 
 def test_snapshot_larger_than_a_write_block(tmp_path):
-    # the rows of one snapshot span several blocks, the last one partly filled
+    # the rows of one snapshot span several blocks, the last one partly filled;
+    # its u and rhs bits fill a default Linux pipe buffer (64 KiB) twice over
     cells = 2 * BLOCK_ROWS + 37
+    assert 16 * cells > 2 * 65536
     traj = hand_built((cells,), TIMES[:2], seed=3)
     data = written_bytes(traj, tmp_path)
     assert data == reference_trajectory_bytes(traj)
@@ -159,9 +180,16 @@ def test_solved_trajectory_bytes_match_reference(tmp_path):
         base["problem"].update(dimension=dim, coefficient=coefficient)
         base["solver"]["h"] = h
         setup = parse_config(base)
-        traj = solve(setup.problem, setup.solver, validate=False)
         out = tmp_path / f"d{dim}_{coefficient['kind']}"
-        assert written_bytes(traj, out) == reference_trajectory_bytes(traj), out.name
+        out.mkdir()
+        # each snapshot goes to the forked writer as the solver records it
+        with _TrajectoryWriter(setup.problem, out) as writer:
+            traj = solve(setup.problem, setup.solver, validate=False, on_snapshot=writer.send)
+            writer.close()
+        assert_no_child_left()
+        want = reference_trajectory_bytes(traj)
+        assert (out / "trajectory.csv").read_bytes() == want, out.name
+        assert written_bytes(traj, out / "in-process") == want, out.name
     u = traj.snapshots[-1].u.values
     assert np.array_equal(u, u[::-1]) and np.array_equal(u, u.T)
     values = np.concatenate([u.ravel(), traj.snapshots[-1].rhs.values.ravel()])
