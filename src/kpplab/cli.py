@@ -296,6 +296,9 @@ def cmd_run(args) -> int:
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"artifacts written to {args.out}")
     return 0
 
@@ -360,7 +363,8 @@ def _sweep_worker(payload) -> list[tuple[int, dict]]:
     """Run one chunk of sweep points that share everything but the tumor
     block: the untreated run once, into the first point's directory, copies
     of its files for the others, then each point's protocol from the shared
-    trajectory. Returns (index, row) per point."""
+    trajectory, which marches each event schedule once for the points that
+    differ only in sigma_img. Returns (index, row) per point."""
     data, chunk, outdir = payload
     traj = metrics = written = first = None
     rows = []
@@ -405,11 +409,14 @@ def _parse_axes(specs) -> list[tuple[str, list[float]]]:
     return axes
 
 
-def _chunks(groups: list[list], workers: int) -> list[list]:
-    """Each group split into ceil(workers / groups) strided chunks: one chunk
-    per group unless there are fewer groups than workers."""
+def _chunks(groups: list[list[list]], workers: int) -> list[list]:
+    """Each group, a list of schedule sub-groups of points, split into
+    ceil(workers / groups) chunks that take the sub-groups in turn: one chunk
+    per group unless there are fewer groups than workers. The points of one
+    sub-group share their treated march, so they stay in one chunk."""
     split = math.ceil(workers / len(groups))
-    return [chunk for group in groups for chunk in (group[k::split] for k in range(split)) if chunk]
+    chunks = ([p for sub in group[k::split] for p in sub] for group in groups for k in range(split))
+    return [chunk for chunk in chunks if chunk]
 
 
 def cmd_sweep(args) -> int:
@@ -421,7 +428,7 @@ def cmd_sweep(args) -> int:
             assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
         if args.jobs < 1:
             raise SchemaError(f"--jobs must be at least 1, got {args.jobs}.")
-        groups: dict[str, list] = {}
+        groups: dict[str, dict[str, list]] = {}  # untreated config -> events -> points
         dirs: dict[str, tuple] = {}
         for index, assignment in enumerate(assignments):  # every point is checked before any runs
             point = _point_data(data, assignment)
@@ -434,25 +441,36 @@ def cmd_sweep(args) -> int:
                 )
             dirs[name] = assignment
             untreated = json.dumps({k: v for k, v in point.items() if k != "tumor"}, sort_keys=True)
-            groups.setdefault(untreated, []).append((index, assignment))
+            events = json.dumps(point.get("tumor", {}).get("events"))
+            groups.setdefault(untreated, {}).setdefault(events, []).append((index, assignment))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    chunks = _chunks(list(groups.values()), min(args.jobs, len(assignments)))
-    payloads = [(data, chunk, str(outdir)) for chunk in chunks]
-    workers = min(args.jobs, len(payloads))
+    chunks = _chunks([list(g.values()) for g in groups.values()], min(args.jobs, len(assignments)))
+    payloads = [(data, chunk, args.out) for chunk in chunks]
     try:
-        if workers > 1:
-            with get_context("fork").Pool(processes=workers) as pool:
-                done = pool.map(_sweep_worker, payloads)
-        else:
-            done = [_sweep_worker(pl) for pl in payloads]
+        path, count = _run_sweep(payloads, min(args.jobs, len(payloads)), Path(args.out))
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    print(f"sweep table written to {path} ({count} runs)")
+    return 0
+
+
+def _run_sweep(payloads: list, workers: int, outdir: Path) -> tuple[Path, int]:
+    """Run the chunks on a pool of ``workers`` processes (in this process for
+    one) and write sweep.csv, one row per point in point order; returns its
+    path and the number of rows."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    if workers > 1:
+        with get_context("fork").Pool(processes=workers) as pool:
+            done = pool.map(_sweep_worker, payloads)
+    else:
+        done = [_sweep_worker(pl) for pl in payloads]
     rows = [row for _, row in sorted((pair for chunk in done for pair in chunk), key=itemgetter(0))]
 
     columns: list[str] = []
@@ -461,9 +479,7 @@ def cmd_sweep(args) -> int:
             if key not in columns:
                 columns.append(key)
     table = [[row.get(c, math.nan) for c in columns] for row in rows]
-    path = write_csv(outdir / "sweep.csv", columns, table)
-    print(f"sweep table written to {path} ({len(rows)} runs)")
-    return 0
+    return write_csv(outdir / "sweep.csv", columns, table), len(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

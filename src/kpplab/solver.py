@@ -87,6 +87,9 @@ class Trajectory:
     config: SolverConfig
     snapshots: list[Snapshot] = field(default_factory=list)
     leak_max: float = 0.0
+    # runs continued from this one, solved once each: tumor.run_protocol keeps
+    # its treated segments here, keyed by their events and end time
+    continued: dict = field(default_factory=dict, repr=False, compare=False)
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])

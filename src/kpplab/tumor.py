@@ -162,13 +162,24 @@ class ProtocolResult:
         return rows[:n]
 
 
-def _continue(traj: Trajectory, start: Snapshot, t_end: float) -> list[Snapshot]:
-    """The snapshots after ``start`` of the run continued from it on the comb
-    of ``traj``, up to and including t_end."""
-    cfg = traj.config
-    comb = tuple(cfg.resolved_snapshot_times())
-    seg_cfg = replace(cfg, t_final=t_end, snapshot_every=None, snapshot_times=(*comb, t_end))
-    return solve(traj.problem, seg_cfg, validate=False, start=start).snapshots[1:]
+def _continue(
+    traj: Trajectory, events: tuple[tuple[float, float], ...], start: Snapshot, t_end: float
+) -> tuple[GridFunction, list[Snapshot]]:
+    """The run continued from ``start`` on the comb of ``traj`` up to and
+    including t_end: the rhs at ``start`` and the snapshots after it.
+
+    ``start`` is the state that ``traj`` reaches through ``events``, so the
+    segment depends only on them and on t_end: it is solved once and kept on
+    ``traj``, and protocols that share the events (those that differ only in
+    sigma_img) read the same snapshots."""
+    key = (events, t_end)
+    if key not in traj.continued:
+        cfg = traj.config
+        comb = tuple(cfg.resolved_snapshot_times())
+        seg_cfg = replace(cfg, t_final=t_end, snapshot_every=None, snapshot_times=(*comb, t_end))
+        first, *after = solve(traj.problem, seg_cfg, validate=False, start=start).snapshots
+        traj.continued[key] = first.rhs, after
+    return traj.continued[key]
 
 
 def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
@@ -178,10 +189,12 @@ def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
     event, and the march resumes from its last snapshot at or before it.
     Event times are inserted into the snapshot comb exactly; the series holds
     one row per comb time plus a flagged post-event row at each event.
-    Boundary diagnostics interpolate the post-treatment rhs at the
-    sigma-crossings of the post-treatment state.
+    Boundary diagnostics interpolate the post-treatment rhs, which the
+    treated segment's solve computes at its start, at the sigma-crossings of
+    the post-treatment state. The treated segments are kept on ``traj``, so
+    schedules that share their events march once.
     """
-    p, t_final = traj.problem, traj.config.t_final
+    t_final = traj.config.t_final
     if any(not 0 < t < t_final for t, _ in sched.events):
         raise ValueError("every event must fall strictly inside (0, t_final).")
     sigma = sched.sigma_img
@@ -194,20 +207,20 @@ def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
     t_first = sched.events[0][0] if sched.events else t_final
     snaps = [s for s in traj if s.t <= t_first + 1e-12]
     if snaps[-1].t < t_first - 1e-12:  # the first event falls between comb points
-        snaps += _continue(traj, snaps[-1], t_first)
+        snaps += _continue(traj, (), snaps[-1], t_first)[1]
     series = [row(s) for s in snaps]
     events: list[EventDiagnostics] = []
     ends = [t for t, _ in sched.events[1:]] + [t_final]
-    for (t0, beta), t_end in zip(sched.events, ends):
+    for k, ((t0, beta), t_end) in enumerate(zip(sched.events, ends)):
         pre = snaps[-1]
         post_u = apply_treatment(pre.u, beta)
-        post_rhs = discrete_rhs(post_u, p)
+        post = Snapshot(t0, post_u)
+        post_rhs, snaps = _continue(traj, sched.events[: k + 1], post, t_end)
         crossings, grazing = sigma_crossings(post_u, sigma) if post_u.dim == 1 else (np.array([]), False)
         if post_u.dim == 1 and crossings.size:
             boundary_rhs_min = float(np.min(_interp_at(post_rhs, crossings)))
         else:
             boundary_rhs_min = math.nan
-        post = Snapshot(t0, post_u)
         series.append(row(post, event_flag=1))
         events.append(
             EventDiagnostics(
@@ -221,7 +234,6 @@ def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
                 grazing=grazing,
             )
         )
-        snaps = _continue(traj, post, t_end)
         series += [row(s) for s in snaps]
 
     for ev in events:

@@ -348,10 +348,12 @@ TREATED = dict(MINIMAL, tumor={"events": [[4.0, 0.5]], "sigma_img": 0.3})
 
 # (axes, --jobs, untreated solves): a problem axis crossed with two tumor axes
 # is two groups of four points; a tumor-only sweep is one group, split in two
-# chunks when two workers would otherwise get one
+# chunks along its two schedules when two workers would otherwise get one; a
+# sigma-only sweep shares one march, so it stays one chunk
 SHARED_SWEEPS = [
     (["problem.reaction.rate=0.5,1", "tumor.sigma_img=0.3,0.5", "tumor.events.0.1=0.4,0.6"], "1", 2),
-    (["tumor.sigma_img=0.3,0.4,0.5,0.6,0.7"], "2", 2),
+    (["tumor.sigma_img=0.3,0.5", "tumor.events.0.1=0.4,0.6"], "2", 2),
+    (["tumor.sigma_img=0.3,0.4,0.5,0.6,0.7"], "2", 1),
 ]
 
 
@@ -385,6 +387,75 @@ def test_sweep_points_equal_plain_runs(tmp_path, monkeypatch, axes, jobs, untrea
         }
         assert "protocol.csv" in want and "trajectory.csv" in want
     assert len(got) == 1 + len(assignments) * len(want)
+
+
+def test_sweep_worker_marches_each_schedule_once(tmp_path, monkeypatch):
+    solves = {"untreated": 0, "treated": 0}
+    for module, kind in ((cli, "untreated"), (cli.tu, "treated")):
+        def counting(*args, original=module.solve, kind=kind, **kwargs):
+            solves[kind] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solve", counting)
+    # the event at t=4 is on the comb, so each schedule is one treated march
+    axes = (("tumor.events.0.1", (0.4, 0.6)), ("tumor.sigma_img", (0.3, 0.5, 0.7)))
+    chunk = list(enumerate(product(*[[(k, v) for v in vals] for k, vals in axes])))
+    rows = cli._sweep_worker((TREATED, chunk, str(tmp_path)))
+    assert [index for index, _ in rows] == list(range(6))
+    assert solves == {"untreated": 1, "treated": 2}
+
+
+def test_chunks_keep_the_points_of_one_schedule_together(tmp_path, monkeypatch):
+    chunks = []
+
+    class RecordingPool(SerialPool):
+        def map(self, fn, items):
+            chunks.extend([index for index, _ in chunk] for _, chunk, _ in items)
+            return super().map(fn, items)
+
+    monkeypatch.setattr(cli, "get_context", lambda method: SimpleNamespace(Pool=RecordingPool))
+    cfg = write_config(tmp_path, TREATED)
+    # sigma varies fastest, so a strided split of the four points in two would
+    # put points 0 and 2 (beta 0.4 and 0.6) together and split each schedule
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), "--jobs", "2"]
+    argv += ["--axis", "tumor.events.0.1=0.4,0.6", "--axis", "tumor.sigma_img=0.3,0.5"]
+    assert main(argv) == 0
+    assert chunks == [[0, 1], [2, 3]]
+    # one chunk per schedule sub-group in turn; a chunk left empty is dropped
+    assert cli._chunks([[["a", "b"], ["c"], ["d"]], [["e"]]], 4) == [["a", "b", "d"], ["c"], ["e"]]
+    assert cli._chunks([[["a", "b"]]], 2) == [["a", "b"]]
+
+
+def test_cli_run_unwritable_artifact_exits_2(tmp_path, capfd):
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, MINIMAL)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"output error: could not write {out / 'trajectory.csv'}: "
+        "the writer process exited with status 1"
+    )
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_sweep_unwritable_point_directory_exits_2(tmp_path, capfd, jobs):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    blocked = out / "rate=1"
+    blocked.write_text("")
+    data = json.loads(json.dumps(MINIMAL))
+    data["solver"]["t_final"] = 2.0
+    cfg = write_config(tmp_path, data)
+    argv = ["sweep", "--config", str(cfg), "--axis", "problem.reaction.rate=0.5,1"]
+    assert main(argv + ["--out", str(out), "--jobs", jobs]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"output error: [Errno 17] File exists: '{blocked}'"]
+    assert not (out / "sweep.csv").exists()
+    assert_no_child_left()
 
 
 def test_sweep_points_that_share_a_directory_are_a_schema_error(tmp_path, capsys):

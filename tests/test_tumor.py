@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kpplab import tumor
 from kpplab.config import load_config
 from kpplab.grids import Grid, GridFunction
 from kpplab.model import homogeneous_kpp, piecewise_kpp_problem
@@ -296,3 +297,54 @@ def test_protocol_continuing_the_run_matches_the_segmented_reference(name):
     assert repr(res.series) == repr(series)
     assert repr(res.events) == repr(events)
     assert len(res.events) == len(sched.events)
+
+
+def counting_solves(monkeypatch) -> list[float]:
+    """Record the start time of every solve the protocol makes."""
+    starts = []
+
+    def counting(*args, original=tumor.solve, **kwargs):
+        starts.append(kwargs["start"].t)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tumor, "solve", counting)
+    return starts
+
+
+def test_protocols_that_differ_only_in_sigma_share_the_march_exactly(monkeypatch):
+    p = homogeneous_kpp(half_width=60.0)
+    cfg = SolverConfig(h=0.1, t_final=8.0, snapshot_every=1.0)
+    shared = solve(p, cfg)
+    starts = counting_solves(monkeypatch)
+    events = ((3.0, 0.6), (5.7, 0.7))  # every post-event state crosses both levels
+    for sigma in (0.3, 0.5):
+        sched = TreatmentSchedule(events, sigma)
+        res = run_protocol(shared, sched)
+        fresh = run_protocol(solve(p, cfg), sched)
+        assert res == fresh and len(res.events) == 2
+        assert not any(math.isnan(ev.boundary_rhs_min) for ev in res.events)
+    # the shared run marched its two segments once; each fresh run, its own
+    assert starts == [3.0, 5.7] * 3
+
+
+def test_schedules_that_share_an_event_prefix_share_its_segments(monkeypatch):
+    p = homogeneous_kpp(half_width=60.0)
+    cfg = SolverConfig(h=0.1, t_final=8.0, snapshot_every=1.0)
+    traj = solve(p, cfg)
+    starts = counting_solves(monkeypatch)
+    first = run_protocol(traj, TreatmentSchedule(((2.5, 0.6), (5.7, 0.7)), 0.3))
+    # from the comb point 2 to the off-comb event, then after each event
+    assert starts == [2.0, 2.5, 5.7]
+    sched = TreatmentSchedule(((2.5, 0.6), (5.7, 0.8)), 0.3)
+    second = run_protocol(traj, sched)
+    assert starts[3:] == [5.7]  # only the segment after the second beta
+    assert second == run_protocol(solve(p, cfg), sched)
+    before = [pt for pt in first.series if pt.t <= 5.7 + 1e-12][:-1]  # up to the second jump
+    assert second.series[: len(before)] == before
+    assert second.events[0] == first.events[0] and second.events[1] != first.events[1]
+    # the same first event with a later second one ends the first segment later
+    sched = TreatmentSchedule(((2.5, 0.6), (6.5, 0.7)), 0.3)
+    del starts[:]
+    third = run_protocol(traj, sched)
+    assert starts == [2.5, 6.5]
+    assert third == run_protocol(solve(p, cfg), sched)
