@@ -305,10 +305,14 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     outdir = Path(args.out) if args.out else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    results = run_suite(args.suite, outdir)
+    try:
+        if outdir is not None:
+            outdir.mkdir(parents=True, exist_ok=True)
+        start = time.perf_counter()
+        results = run_suite(args.suite, outdir)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"verify {args.suite}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for res in results:
         print(res.line())

@@ -1,8 +1,9 @@
 """Problem definitions: diffusion coefficients, KPP reactions, initial data.
 
 Each kind is one frozen dataclass: it checks its arguments, owns its formula
-and states the facts the theorems need (Lipschitz bound, constancy at
-infinity, linearity near 0, exact homogeneity outside a bounded interval).
+and states the facts the theorems and the solver need (Lipschitz bound,
+constancy at infinity, independence of x, linearity near 0, exact homogeneity
+outside a bounded interval).
 The validator measures the structural constants (ellipticity bound, Lipschitz
 bound, linear lower bound near 0) by sampling and returns a
 :class:`HypothesisReport` with one verdict per hypothesis.
@@ -131,6 +132,7 @@ class Reaction:
 
     kind: ClassVar[str]
     constant_at_infinity: ClassVar[bool] = False  # f(x,.) independent of x for large |x|
+    x_independent: ClassVar[bool] = False  # f(x,.) the same at every x
     linear_near_zero: ClassVar[bool] = False  # f(x,u) = r(x) u with r > 0 for u near 0
 
     def bind(self, points) -> Optional[Callable[..., np.ndarray]]:
@@ -168,6 +170,7 @@ class Logistic(Reaction):
 
     kind = "logistic"
     constant_at_infinity = True
+    x_independent = True
 
     def __post_init__(self) -> None:
         if not self.rate > 0:
@@ -187,6 +190,7 @@ class Zero(Reaction):
 
     kind = "zero"
     constant_at_infinity = True
+    x_independent = True
 
     def bind(self, points) -> None:
         return None

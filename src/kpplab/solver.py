@@ -8,7 +8,9 @@ LAPACK's tridiagonal dpttrf/dpttrs, 1D; monotone under dt*L <= 1) is available
 for stiff sweeps; it is the only user of scipy, which it imports on first use.
 Boundary nodes are held fixed (Dirichlet truncation; zero for decaying data).
 The whole-space solve, the fundamental solutions and the half-line solve all
-step one stencil through one march loop.
+step one stencil through one march loop. An explicit march of a problem that
+is its own mirror image steps only the half (1D) or quarter (2D) grid and
+gives the same bits.
 """
 from __future__ import annotations
 
@@ -104,31 +106,48 @@ class Trajectory:
         return iter(self.snapshots)
 
 
+def _faces(coeff: CoefficientField, grid: Grid) -> tuple[np.ndarray, ...]:
+    """The coefficient at the midpoints between neighbouring nodes, one array
+    per axis: shape n-1 along that axis, n along the other."""
+    if grid.dim == 1:
+        x = grid.axis(0)
+        return (coeff.evaluate(0.5 * (x[:-1] + x[1:])),)
+    x, y = grid.axis(0), grid.axis(1)
+    xf = 0.5 * (x[:-1] + x[1:])
+    yf = 0.5 * (y[:-1] + y[1:])
+    XFx, YFx = np.meshgrid(xf, y, indexing="ij")
+    XFy, YFy = np.meshgrid(x, yf, indexing="ij")
+    return coeff.evaluate((XFx, YFx)), coeff.evaluate((XFy, YFy))
+
+
 class _Stepper:
     """Precomputed faces, reaction closure and divergence routine for one
     equation on one grid."""
 
-    def __init__(self, coeff: CoefficientField, reaction: Reaction, grid: Grid):
+    def __init__(
+        self,
+        coeff: CoefficientField,
+        reaction: Reaction,
+        grid: Grid,
+        faces: Optional[tuple[np.ndarray, ...]] = None,
+    ):
+        """``faces`` are ``_faces(coeff, grid)`` when given: a folded march
+        passes its corner of the whole grid's faces."""
         self.reaction = reaction
         self.grid = grid
         self.h = grid.h
         self.inv_h2 = 1.0 / grid.h**2
         self.interior = (slice(1, -1),) * grid.dim
+        if faces is None:
+            faces = _faces(coeff, grid)
+        self.a_max = float(max(np.max(f) for f in faces))
         if grid.dim == 1:
-            x = grid.axis(0)
-            self.faces = coeff.evaluate(0.5 * (x[:-1] + x[1:]))
-            self.a_max = float(np.max(self.faces))
-            self.f_interior = reaction.bind(x[1:-1])
+            (self.faces,) = faces
+            self.f_interior = reaction.bind(grid.axis(0)[1:-1])
             self._div = _div_1d(self.faces, self.inv_h2, self.f_interior)
         else:
+            self.faces_x, self.faces_y = faces
             x, y = grid.axis(0), grid.axis(1)
-            xf = 0.5 * (x[:-1] + x[1:])
-            yf = 0.5 * (y[:-1] + y[1:])
-            XFx, YFx = np.meshgrid(xf, y, indexing="ij")
-            XFy, YFy = np.meshgrid(x, yf, indexing="ij")
-            self.faces_x = coeff.evaluate((XFx, YFx))
-            self.faces_y = coeff.evaluate((XFy, YFy))
-            self.a_max = float(max(np.max(self.faces_x), np.max(self.faces_y)))
             self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y[1:-1], indexing="ij"))
             self._div = _div_2d(self.faces_x, self.faces_y, self.inv_h2, self.f_interior)
         # dt -> dpttrs bound to the factor of I - dt*A, for the largest dt seen
@@ -283,6 +302,97 @@ def _face_factor(faces: np.ndarray) -> Optional[np.ndarray]:
     return None if np.all(faces == 1.0) else faces
 
 
+class _Whole:
+    """How a march lays its state on the grid: as it is. ``fold`` gives what
+    the march steps, ``after_step`` runs after each step and ``unfold`` makes
+    a new whole-grid array of a stepped one."""
+
+    after_step: Optional[Callable[[float, np.ndarray], None]] = None
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        return u
+
+    def unfold(self, state: np.ndarray) -> np.ndarray:
+        return state.copy()
+
+
+class _Mirror(_Whole):
+    """An explicit march folded onto nodes 0..m of each axis of a grid of
+    2m+1 nodes, plus a ghost node m+1 that holds a copy of node m-1.
+
+    When the state, the faces and the reaction are all equal bit for bit to
+    their mirror images about the centre node, so is every explicit step: the
+    stencil at a mirrored node subtracts and multiplies the mirrored, hence
+    equal or exactly negated, operands. The ghost gives node m the neighbour
+    that its mirror would, so nodes 0..m get the same bits as on the whole
+    grid."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+        centres = [n // 2 for n in shape]  # m of each axis
+        self.half = tuple(slice(0, m + 2) for m in centres)  # nodes 0..m and the ghost
+        self.kept = tuple(slice(0, m + 1) for m in centres)  # nodes 0..m
+        self.ghosts = []  # (ghost, node m-1) index pairs, one per axis
+        self.mirrors = []  # (nodes m+1..2m, nodes m-1..0) index pairs, one per axis
+        for k, m in enumerate(centres):
+            lead = (slice(None),) * k
+            self.ghosts.append((lead + (-1,), lead + (-3,)))
+            self.mirrors.append((lead + (slice(m + 1, None),), lead + (slice(m - 1, None, -1),)))
+
+    def grid(self, whole: Grid) -> Grid:
+        return Grid(whole.origin, tuple(s.stop for s in self.half), whole.h)
+
+    def fold_faces(self, faces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        # along its own axis a face array has one entry fewer than the nodes
+        return tuple(
+            f[tuple(slice(0, s.stop - (k == axis)) for k, s in enumerate(self.half))]
+            for axis, f in enumerate(faces)
+        )
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        return u[self.half]
+
+    def after_step(self, t: float, state: np.ndarray) -> None:
+        for ghost, node in self.ghosts:
+            state[ghost] = state[node]
+
+    def unfold(self, state: np.ndarray) -> np.ndarray:
+        whole = np.empty(self.shape)
+        whole[self.kept] = state[self.kept]
+        for far, near in self.mirrors:
+            whole[far] = whole[near]
+        return whole
+
+
+def _mirrored(a: np.ndarray) -> bool:
+    """Whether ``a`` equals its mirror image along every axis, bit for bit."""
+    bits = a.view(np.uint64)
+    return all(np.array_equal(bits, np.flip(bits, k)) for k in range(a.ndim))
+
+
+def _layout(
+    coeff: CoefficientField, reaction: Reaction, grid: Grid, u: np.ndarray, explicit: bool = True
+) -> tuple[_Stepper, _Whole]:
+    """The stepper that marches ``u`` and how ``u`` is laid on its grid.
+
+    An explicit march whose state and faces equal their mirror images about
+    the centre node along every axis, with a reaction that does not depend on
+    x, steps the half (1D) or quarter (2D) grid of :class:`_Mirror`. The IMEX
+    scheme and every other input step the whole grid: folded, the implicit
+    diffusion matrix would not be symmetric."""
+    faces = _faces(coeff, grid)
+    layout = _Whole()
+    if (
+        explicit
+        and reaction.x_independent
+        and all(n % 2 == 1 for n in grid.npoints)
+        and all(_mirrored(a) for a in (u, *faces))
+    ):
+        layout = _Mirror(grid.npoints)
+        grid, faces = layout.grid(grid), layout.fold_faces(faces)
+    return _Stepper(coeff, reaction, grid, faces), layout
+
+
 def _check_solution_range(values: np.ndarray, t: float) -> None:
     mn = float(np.min(values))
     mx = float(np.max(values))
@@ -390,7 +500,8 @@ def solve(
         start = Snapshot(0.0, make_initial(p.initial, grid))
     elif start.u.grid.npoints != grid.npoints:
         raise ValueError("start state does not match the solver grid.")
-    stepper = _Stepper(p.coefficient, p.reaction, grid)
+    explicit = cfg.scheme == "explicit-euler"
+    stepper, layout = _layout(p.coefficient, p.reaction, grid, start.u.values, explicit)
     dt = _resolve_dt(stepper, cfg)
 
     times = cfg.resolved_snapshot_times()
@@ -399,10 +510,12 @@ def solve(
     traj = Trajectory(problem=p, config=cfg)
     warned = False
     _check_solution_range(start.u.values, start.t)
-    advance = stepper.step_explicit if cfg.scheme == "explicit-euler" else stepper.step_imex
-    for t, state in _march(start.u.values, start.t, targets, dt, advance):
-        _check_solution_range(state, t)
-        leak = _boundary_cells_max(state)
+    advance = stepper.step_explicit if explicit else stepper.step_imex
+    u0 = layout.fold(start.u.values)
+    for t, state in _march(u0, start.t, targets, dt, advance, layout.after_step):
+        values = layout.unfold(state)
+        _check_solution_range(values, t)
+        leak = _boundary_cells_max(values)
         traj.leak_max = max(traj.leak_max, leak)
         if leak > cfg.hard_leak_threshold:
             raise NumericalError(
@@ -417,8 +530,8 @@ def solve(
                 stacklevel=2,
             )
             warned = True
-        gf = GridFunction(state.copy(), grid.h, grid.origin)
-        snap = Snapshot(t=t, u=gf, rhs=gf.with_values(stepper.rhs(state)))
+        gf = GridFunction(values, grid.h, grid.origin)
+        snap = Snapshot(t=t, u=gf, rhs=gf.with_values(layout.unfold(stepper.rhs(state))))
         traj.snapshots.append(snap)
         if on_snapshot is not None:
             on_snapshot(snap)
@@ -458,25 +571,28 @@ def fundamental_solution(
     state[idx] = grid.h ** (-grid.dim)
     source = tuple(grid.axis(k)[idx[k]] for k in range(grid.dim))
 
-    stepper = _Stepper(coeff, Zero(), grid)
+    stepper, layout = _layout(coeff, Zero(), grid, state)
     dt = 0.9 * stepper.stability_bound()
     cell = grid.h**grid.dim
 
     result = KernelResult(times=[], kernels=[], masses=[], source=source)
-    for t, state in _march(state, 0.0, t_targets, dt, stepper.step_explicit):
-        mn = float(np.min(state))
+    advance = stepper.step_explicit
+    for t, state in _march(layout.fold(state), 0.0, t_targets, dt, advance, layout.after_step):
+        # the checks and the mass sum run over the whole grid, in its order
+        values = layout.unfold(state)
+        mn = float(np.min(values))
         if math.isnan(mn):
             raise NumericalError(f"NaN in fundamental solution at t={t:.6g}.")
-        if mn < -1e-9 * max(1.0, float(np.max(state))):
+        if mn < -1e-9 * max(1.0, float(np.max(values))):
             raise NumericalError(f"kernel positivity lost at t={t:.6g} (min {mn:.3e}).")
-        mass = float(np.sum(state) * cell)
+        mass = float(np.sum(values) * cell)
         if abs(mass - 1.0) > KERNEL_MASS_TOL:
             raise NumericalError(
                 f"kernel mass {mass:.8f} drifted beyond {KERNEL_MASS_TOL:g} at t={t:.6g}; "
                 "boundary truncation too tight."
             )
         result.times.append(t)
-        result.kernels.append(GridFunction(state.copy(), grid.h, grid.origin))
+        result.kernels.append(GridFunction(values, grid.h, grid.origin))
         result.masses.append(mass)
     return result
 

@@ -458,6 +458,22 @@ def test_cli_sweep_unwritable_point_directory_exits_2(tmp_path, capfd, jobs):
     assert_no_child_left()
 
 
+def test_cli_verify_unwritable_output_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["verify", "green", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"output error: [Errno 17] File exists: '{taken}'"]
+    out = tmp_path / "ratio"
+    blocked = out / "kernel_ratio.csv"
+    blocked.mkdir(parents=True)
+    assert main(["verify", "kernel-mono", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"output error: [Errno 21] Is a directory: '{blocked}'"]
+
+
 def test_sweep_points_that_share_a_directory_are_a_schema_error(tmp_path, capsys):
     cfg = write_config(tmp_path, TREATED)
     out = tmp_path / "sweep"
