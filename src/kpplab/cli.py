@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis as an
 from . import tumor as tu
 from .config import RunSetup, SchemaError, load_config, parse_config, read_config
-from .csvio import FLOAT, fmt, format_floats, open_csv, write_csv
+from .csvio import FLOAT, fmt, format_floats, open_csv, records, write_csv
 from .grids import GridFunction
 from .model import validate_problem
 from .solver import NumericalError, Snapshot, Trajectory, solve
@@ -227,55 +227,9 @@ def _run_protocol(setup: RunSetup, traj: Trajectory, outdir: Path, metrics: dict
     if setup.schedule is None:
         return metrics
     proto = tu.run_protocol(traj, setup.schedule)
-    write_csv(
-        outdir / "protocol.csv",
-        ["t", "S", "mass", "event_flag"],
-        [(pt.t, pt.S, pt.mass, pt.event_flag) for pt in proto.series],
-    )
-    write_csv(
-        outdir / "protocol_events.csv",
-        [
-            "t0",
-            "beta",
-            "sigma",
-            "S_before",
-            "S_after",
-            "mass_before",
-            "mass_after",
-            "boundary_rhs_min",
-            "dS_sign",
-            "dmass_sign",
-            "grazing",
-        ],
-        [
-            (
-                ev.t0,
-                ev.beta,
-                setup.schedule.sigma_img,
-                ev.S_before,
-                ev.S_after,
-                ev.mass_before,
-                ev.mass_after,
-                ev.boundary_rhs_min,
-                ev.dS_sign_next,
-                ev.dmass_sign_next,
-                int(ev.grazing),
-            )
-            for ev in proto.events
-        ],
-    )
-    if proto.events:
-        ev = proto.events[0]
-        metrics.update(
-            beta=ev.beta,
-            sigma=setup.schedule.sigma_img,
-            t0=ev.t0,
-            dS_sign=ev.dS_sign_next,
-            dmass_sign=ev.dmass_sign_next,
-            boundary_rhs_min=ev.boundary_rhs_min,
-        )
-    metrics["S_final"] = proto.series[-1].S
-    metrics["mass_final"] = proto.series[-1].mass
+    write_csv(outdir / "protocol.csv", *records(tu.ProtocolPoint, proto.series))
+    write_csv(outdir / "protocol_events.csv", *records(tu.EventDiagnostics, proto.events))
+    metrics.update(proto.metrics())
     return metrics
 
 

@@ -1,6 +1,8 @@
 """CSV export: comma-separated, '.' decimal, 17 significant digits, LF endings."""
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -14,6 +16,8 @@ FLOAT = "%.17g"
 def fmt(value) -> str:
     if isinstance(value, float):
         return FLOAT % value
+    if isinstance(value, bool):
+        return "1" if value else "0"
     return str(value)
 
 
@@ -41,3 +45,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
     return Path(path)
+
+
+def records(cls, items: Iterable) -> tuple[list[str], list[tuple]]:
+    """The table of the dataclass instances ``items``: the field names of
+    ``cls``, in order, as the header, and one row of their values per item,
+    for ``write_csv(path, *records(cls, items))``."""
+    header = [f.name for f in fields(cls)]
+    get = attrgetter(*header)
+    return header, [get(item) for item in items]

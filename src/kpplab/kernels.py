@@ -120,11 +120,13 @@ def halfline_quadrature(pp: HalfLineParams, v0: GridFunction, t: float) -> GridF
     if np.max(np.abs(vals[-2:])) > 1e-12 * max(1.0, float(np.max(np.abs(vals)))):
         warnings.warn("v0 support touches the truncation edge.", RuntimeWarning, stacklevel=2)
     y = v0.axis(0)
-    G = half_line_green(pp, t, y[:, None], y[None, :])  # G[i,j] = G(t, x_i, y_j)
     weights = np.full(y.size, v0.h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return v0.with_values(G @ (weights * vals))
+    # only the columns y_j with v0(y_j) != 0 contribute: G[i,k] = G(t, x_i, y_{j_k})
+    support = np.flatnonzero(vals)
+    G = half_line_green(pp, t, y[:, None], y[None, support])
+    return v0.with_values(G @ (weights * vals)[support])
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,9 @@ class Reaction:
         f = self.bind(points)
         return np.zeros_like(u) if f is None else f(u)
 
-    def lipschitz_bound(self, xs=None) -> float:
-        """Upper bound on |df/du|, uniform in x (in the first coordinates
-        ``xs`` for kinds that depend on x)."""
+    def lipschitz_bound(self, xs) -> float:
+        """Upper bound on |df/du|, uniform in x; kinds that depend on x bound
+        it over the points whose first coordinates are ``xs``."""
         raise NotImplementedError
 
     def exactly_homogeneous(self, half_width: float) -> Optional[bool]:
@@ -180,7 +180,7 @@ class Logistic(Reaction):
         rate = self.rate
         return lambda u, out=None: np.multiply(np.multiply(rate, u, out=out), 1.0 - u, out=out)
 
-    def lipschitz_bound(self, xs=None) -> float:
+    def lipschitz_bound(self, xs) -> float:
         return self.rate
 
 
@@ -195,7 +195,7 @@ class Zero(Reaction):
     def bind(self, points) -> None:
         return None
 
-    def lipschitz_bound(self, xs=None) -> float:
+    def lipschitz_bound(self, xs) -> float:
         return 0.0
 
 
@@ -219,11 +219,8 @@ class Separable(Reaction):
         g = self.g_func
         return lambda u, out=None: np.multiply(rx, np.asarray(g(u), dtype=float), out=out)
 
-    def lipschitz_bound(self, xs=None) -> float:
-        """g_lipschitz times the largest |r| at ``xs`` (default 256 points of
-        [-100, 100])."""
-        if xs is None:
-            xs = np.linspace(-100.0, 100.0, 256)
+    def lipschitz_bound(self, xs) -> float:
+        """g_lipschitz times the largest |r| at ``xs``."""
         rmax = float(np.max(np.abs(np.asarray(self.r_func(xs), dtype=float))))
         return float(self.g_lipschitz * rmax)
 
@@ -271,7 +268,7 @@ class PiecewiseKPP(Blend, Reaction):
 
         return f
 
-    def lipschitz_bound(self, xs=None) -> float:
+    def lipschitz_bound(self, xs) -> float:
         slope_up = max(self.rate_minus, self.rate_plus)
         slope_down = slope_up * self.theta / (1.0 - self.theta)
         return max(slope_up, slope_down)

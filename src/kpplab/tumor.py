@@ -129,26 +129,38 @@ def _interp_at(state: GridFunction, positions: np.ndarray) -> np.ndarray:
     return np.interp(positions, x, state.values)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EventDiagnostics:
+    """One-sided diagnostics of one treatment event: a row of
+    protocol_events.csv, whose columns are these fields in this order."""
+
     t0: float
     beta: float
+    sigma: float  # the imaging threshold
     S_before: float
     S_after: float
     mass_before: float
     mass_after: float
     boundary_rhs_min: float  # min post-treatment rhs on the new boundary; nan without one
+    dS_sign: int = 0  # signs of the change to the next comb point; 0 without one
+    dmass_sign: int = 0
     grazing: bool
-    dS_sign_next: int = 0  # signs of the change to the next comb point; 0 without one
-    dmass_sign_next: int = 0
 
 
 @dataclass
 class ProtocolPoint:
+    """Observed size and mass at one time: a row of protocol.csv, whose
+    columns are these fields in this order. event_flag is 1 on the
+    post-treatment row at an event time."""
+
     t: float
     S: float
     mass: float
     event_flag: int
+
+
+# The sweep.csv columns taken from a protocol's first event, in sweep.csv order.
+SWEEP_EVENT_FIELDS = ("beta", "sigma", "t0", "dS_sign", "dmass_sign", "boundary_rhs_min")
 
 
 @dataclass
@@ -160,6 +172,13 @@ class ProtocolResult:
         """The first n comb points strictly after t0 (post-event rows excluded)."""
         rows = [p for p in self.series if p.t > t0 + 1e-12 and p.event_flag == 0]
         return rows[:n]
+
+    def metrics(self) -> dict:
+        """The protocol's sweep.csv columns: the SWEEP_EVENT_FIELDS of the
+        first event, if there is one, then S and mass of the last row."""
+        out = {name: getattr(ev, name) for ev in self.events[:1] for name in SWEEP_EVENT_FIELDS}
+        out.update(S_final=self.series[-1].S, mass_final=self.series[-1].mass)
+        return out
 
 
 def _continue(
@@ -226,6 +245,7 @@ def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
             EventDiagnostics(
                 t0=t0,
                 beta=beta,
+                sigma=sigma,
                 S_before=observed_size(pre.u, sigma),
                 S_after=series[-1].S,
                 mass_before=total_mass(pre.u),
@@ -239,8 +259,8 @@ def run_protocol(traj: Trajectory, sched: TreatmentSchedule) -> ProtocolResult:
     for ev in events:
         nxt = [p_ for p_ in series if p_.t > ev.t0 + 1e-12 and p_.event_flag == 0]
         if nxt:
-            ev.dS_sign_next = int(np.sign(nxt[0].S - ev.S_after))
-            ev.dmass_sign_next = int(np.sign(nxt[0].mass - ev.mass_after))
+            ev.dS_sign = int(np.sign(nxt[0].S - ev.S_after))
+            ev.dmass_sign = int(np.sign(nxt[0].mass - ev.mass_after))
     return ProtocolResult(series=series, events=events)
 
 

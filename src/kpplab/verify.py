@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis as an
 from . import kernels as kn
 from . import tumor as tu
-from .csvio import write_csv
+from .csvio import records, write_csv
 from .grids import Grid, GridFunction
 from .model import Constant, Sine, homogeneous_kpp, piecewise_kpp_problem
 from .solver import SolverConfig, fundamental_solution, solve, solve_linear_halfline
@@ -268,11 +268,7 @@ def suite_tumor_jump(outdir: Optional[Path] = None) -> list[CheckResult]:
         )
     )
     if outdir is not None:
-        write_csv(
-            outdir / "protocol.csv",
-            ["t", "S", "mass", "event_flag"],
-            [(pt.t, pt.S, pt.mass, pt.event_flag) for pt in proto.series],
-        )
+        write_csv(outdir / "protocol.csv", *records(tu.ProtocolPoint, proto.series))
     return results
 
 

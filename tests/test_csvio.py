@@ -6,6 +6,10 @@ values formatted once. The reference below is the straightforward writer it
 replaced: one tuple per cell, every value through ``fmt``, with the explicit
 infinity branch ``fmt`` used to have. Both must produce the same bytes, in
 process and in the forked child that ``kpplab run`` streams snapshots to.
+
+``protocol.csv`` and ``protocol_events.csv`` are written from their record
+classes, one column per field. Their reference is the writer that spelled
+each column by hand.
 """
 import math
 import os
@@ -15,11 +19,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kpplab.cli import BLOCK_ROWS, _TrajectoryWriter, _write_trajectory
+from kpplab import tumor, verify
+from kpplab.cli import BLOCK_ROWS, _run_protocol, _TrajectoryWriter, _write_trajectory
 from kpplab.config import parse_config
 from kpplab.csvio import write_csv
 from kpplab.grids import GridFunction
-from kpplab.solver import Snapshot, Trajectory, solve
+from kpplab.model import homogeneous_kpp
+from kpplab.solver import Snapshot, SolverConfig, Trajectory, solve
+from kpplab.tumor import EventDiagnostics, ProtocolPoint, ProtocolResult, TreatmentSchedule
 
 SPECIAL = [math.inf, -math.inf, math.nan, -math.nan, -0.0, 0.0, 5e-324, 1e22, 0.1 + 0.2, -1e-300]
 
@@ -203,3 +210,125 @@ def test_write_csv_row_of_mixed_types(tmp_path):
     assert path.read_bytes() == (
         b"a,b,c,d,e,f,g,h,i\n3,PASS,0.10000000000000001,inf,-inf,nan,-0,7,0.33333333333333331\n"
     )
+
+
+def reference_table_bytes(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(reference_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_protocol_tables(proto, sigma_img) -> tuple[bytes, bytes, dict]:
+    """The bytes of protocol.csv and protocol_events.csv and the sweep metrics
+    as the hand-spelled writer made them."""
+    series = reference_table_bytes(
+        ["t", "S", "mass", "event_flag"],
+        [(pt.t, pt.S, pt.mass, pt.event_flag) for pt in proto.series],
+    )
+    events = reference_table_bytes(
+        [
+            "t0",
+            "beta",
+            "sigma",
+            "S_before",
+            "S_after",
+            "mass_before",
+            "mass_after",
+            "boundary_rhs_min",
+            "dS_sign",
+            "dmass_sign",
+            "grazing",
+        ],
+        [
+            (
+                ev.t0,
+                ev.beta,
+                sigma_img,
+                ev.S_before,
+                ev.S_after,
+                ev.mass_before,
+                ev.mass_after,
+                ev.boundary_rhs_min,
+                ev.dS_sign,
+                ev.dmass_sign,
+                int(ev.grazing),
+            )
+            for ev in proto.events
+        ],
+    )
+    metrics = {}
+    if proto.events:
+        ev = proto.events[0]
+        metrics.update(
+            beta=ev.beta,
+            sigma=sigma_img,
+            t0=ev.t0,
+            dS_sign=ev.dS_sign,
+            dmass_sign=ev.dmass_sign,
+            boundary_rhs_min=ev.boundary_rhs_min,
+        )
+    metrics["S_final"] = proto.series[-1].S
+    metrics["mass_final"] = proto.series[-1].mass
+    return series, events, metrics
+
+
+def assert_protocol_tables_match_reference(proto, sched, outdir, monkeypatch):
+    monkeypatch.setattr(tumor, "run_protocol", lambda traj, s: proto)
+    metrics = _run_protocol(SimpleNamespace(schedule=sched), None, outdir, {"tau_star": 1.5})
+    series, events, want = reference_protocol_tables(proto, sched.sigma_img)
+    assert (outdir / "protocol.csv").read_bytes() == series
+    assert (outdir / "protocol_events.csv").read_bytes() == events
+    assert repr(metrics) == repr({"tau_star": 1.5, **want})  # sweep.csv columns and their order
+    return events
+
+
+@pytest.mark.parametrize(
+    "dim, events",
+    [(1, ((3.0, 0.6), (5.7, 0.5))), (2, ((2.5, 0.5),))],
+    ids=["two-events-1d", "2d"],
+)
+def test_solved_protocol_tables_match_reference(tmp_path, monkeypatch, dim, events):
+    if dim == 1:
+        p, cfg = homogeneous_kpp(half_width=60.0), SolverConfig(h=0.1, t_final=8.0, snapshot_every=1.0)
+    else:
+        p = homogeneous_kpp(half_width=15.0, dimension=2)
+        cfg = SolverConfig(h=0.5, t_final=4.0, snapshot_every=1.0, boundary_leak_tolerance=1.0)
+    sched = TreatmentSchedule(events, 0.3)
+    proto = tumor.run_protocol(solve(p, cfg, validate=False), sched)
+    assert len(proto.events) == len(events)
+    # a 1D event has a finite boundary rhs; a 2D event has none
+    assert all(math.isnan(ev.boundary_rhs_min) == (dim == 2) for ev in proto.events)
+    assert_protocol_tables_match_reference(proto, sched, tmp_path, monkeypatch)
+
+
+def test_hand_built_protocol_tables_match_reference(tmp_path, monkeypatch):
+    # one grazing event and one not; the float columns hold the special values
+    sched = TreatmentSchedule(((0.5, 0.5), (1.0, 0.4)), 1 / 3)
+    common = dict(sigma=1 / 3, S_before=2.5, mass_before=0.1 + 0.2, mass_after=-0.0)
+    grazing = EventDiagnostics(
+        t0=0.5, beta=0.5, S_after=0.0, boundary_rhs_min=-1e-300, dS_sign=-1, dmass_sign=1,
+        grazing=True, **common,
+    )
+    clear = EventDiagnostics(t0=1.0, beta=0.4, S_after=1.25, boundary_rhs_min=math.nan, grazing=False, **common)
+    series = [
+        ProtocolPoint(0.0, 2.5, 0.1 + 0.2, 0),
+        ProtocolPoint(0.5, 5e-324, -0.0, 1),
+        ProtocolPoint(1.0, math.inf, 1e22, 1),
+    ]
+    proto = ProtocolResult(series=series, events=[grazing, clear])
+    events = assert_protocol_tables_match_reference(proto, sched, tmp_path, monkeypatch)
+    signs_and_grazing = [line.split(b",")[-3:] for line in events.splitlines()[1:]]
+    assert signs_and_grazing == [[b"-1", b"1", b"1"], [b"0", b"0", b"0"]]
+
+
+def test_verify_tumor_jump_protocol_table_matches_reference(tmp_path, monkeypatch):
+    run, seen = tumor.run_protocol, []
+
+    def recorded(traj, sched):
+        seen.append((run(traj, sched), sched))
+        return seen[-1][0]
+
+    monkeypatch.setattr(tumor, "run_protocol", recorded)
+    assert all(res.passed for res in verify.suite_tumor_jump(tmp_path))
+    ((proto, sched),) = seen
+    want = reference_protocol_tables(proto, sched.sigma_img)[0]
+    assert (tmp_path / "protocol.csv").read_bytes() == want

@@ -186,7 +186,7 @@ def test_auto_dt_of_pinned_configs_is_unchanged():
         setup = load_config(path)
         p, h = setup.problem, setup.solver.h
         stepper = _Stepper(p.coefficient, p.reaction, Grid.centered(p.half_width, h, p.dimension))
-        lip = p.reaction.lipschitz_bound()
+        lip = p.reaction.lipschitz_bound(stepper.grid.axis(0)[1:-1])
         want = 0.9 * h**2 / (2.0 * p.dimension * stepper.a_max)
         if lip > 0:
             want = min(want, 0.5 / lip)

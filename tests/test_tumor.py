@@ -150,7 +150,7 @@ def test_protocol_event_mass_jump_and_signs():
     res = run_protocol(solve(p, SolverConfig(h=0.1, t_final=12.0, snapshot_every=0.5)), sched)
     ev = res.events[0]
     assert ev.mass_after / ev.mass_before == pytest.approx(0.5, rel=1e-13)
-    assert ev.dmass_sign_next == 1  # mass regrows immediately (f >= 0)
+    assert ev.dmass_sign == 1  # mass regrows immediately (f >= 0)
     series_t = [pt.t for pt in res.series if pt.event_flag == 0]
     assert all(b > a for a, b in zip(series_t, series_t[1:]))
 
@@ -252,6 +252,7 @@ def reference_protocol(p, sched, cfg):
             EventDiagnostics(
                 t0=t_end,
                 beta=beta,
+                sigma=sigma,
                 S_before=observed_size(pre.u, sigma),
                 S_after=observed_size(post_u, sigma),
                 mass_before=total_mass(pre.u),
@@ -265,8 +266,8 @@ def reference_protocol(p, sched, cfg):
     for ev in events:
         nxt = [pt for pt in series if pt.t > ev.t0 + 1e-12 and pt.event_flag == 0]
         if nxt:
-            ev.dS_sign_next = int(np.sign(nxt[0].S - ev.S_after))
-            ev.dmass_sign_next = int(np.sign(nxt[0].mass - ev.mass_after))
+            ev.dS_sign = int(np.sign(nxt[0].S - ev.S_after))
+            ev.dmass_sign = int(np.sign(nxt[0].mass - ev.mass_after))
     return series, events
 
 
