@@ -1,7 +1,7 @@
 """Command-line front door: run simulations, verification suites, sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 schema/usage error,
-3 numerical abort.
+Exit codes: 0 success, 1 verification failure, 2 schema/usage or output
+error, 3 numerical abort; `main` maps the errors to them, in one place.
 """
 from __future__ import annotations
 
@@ -11,11 +11,12 @@ import copy
 import json
 import math
 import os
+import pickle
 import shutil
 import signal
-import struct
 import sys
 import time
+from functools import partial
 from itertools import product
 from multiprocessing import get_context
 from operator import itemgetter
@@ -27,7 +28,6 @@ from . import analysis as an
 from . import tumor as tu
 from .config import RunSetup, SchemaError, load_config, parse_config, read_config
 from .csvio import FLOAT, fmt, format_floats, open_csv, records, write_csv
-from .grids import GridFunction
 from .model import validate_problem
 from .solver import NumericalError, Snapshot, Trajectory, solve
 from .verify import SUITES, run_suite
@@ -62,19 +62,16 @@ class _TrajectoryWriter:
     """Writes ``outdir/trajectory.csv`` in a forked child process while the
     caller goes on solving (POSIX fork).
 
-    ``send`` passes each snapshot through a pipe as raw bits: a tag byte, a
-    header with t, h and the grid's origin and shape, then the u and rhs
-    values. The child rebuilds the snapshots and runs `_write_trajectory` on
-    them, so the file has the bytes of an in-process write, NaN payloads and
-    -0 included. ``close`` ends the stream. Leaving the ``with`` block waits
-    for the child and raises OSError if it could not write the file. If the
-    block raises before ``close``, the child sees the stream end early and
-    removes its partial file, so an aborted run leaves no trajectory.csv."""
+    ``send`` pickles each snapshot into a pipe; pickle carries the u and rhs
+    buffers as their raw bytes, so the child's `_write_trajectory` writes the
+    bytes of an in-process write, NaN payloads and -0 included. ``close``
+    ends the stream with None. Leaving the ``with`` block waits for the child
+    and raises OSError if it could not write the file. If the block raises
+    before ``close``, the child sees the stream end early and removes its
+    partial file, so an aborted run leaves no trajectory.csv."""
 
     def __init__(self, problem, outdir: Path):
         self.path = outdir / "trajectory.csv"
-        self._dim = problem.dimension
-        self._head = struct.Struct(f"=d{1 + self._dim}d{self._dim}q")  # t, h, origin, shape
         read, write = os.pipe()
         try:
             self._pid = os.fork()
@@ -97,9 +94,10 @@ class _TrajectoryWriter:
         try:
             with open(read, "rb") as fh:
                 # the writer iterates once, taking each snapshot as it arrives
-                _write_trajectory(Trajectory(problem, None, self._received(fh)), outdir)
+                snaps = iter(partial(pickle.load, fh), None)
+                _write_trajectory(Trajectory(problem, None, snaps), outdir)
             status = 0
-        except EOFError:
+        except (EOFError, pickle.UnpicklingError):  # the stream ended early
             self.path.unlink(missing_ok=True)
             status = 0
         except BaseException as exc:
@@ -107,22 +105,12 @@ class _TrajectoryWriter:
         finally:
             os._exit(status)
 
-    def _received(self, fh):
-        while (tag := fh.read(1)) == b"s":
-            t, h, *grid = self._head.unpack(_read_exactly(fh, self._head.size))
-            shape = tuple(grid[self._dim :])
-            u, rhs = np.frombuffer(_read_exactly(fh, 16 * math.prod(shape))).reshape(2, *shape)
-            gf = GridFunction(u, h, tuple(grid[: self._dim]))
-            yield Snapshot(t, gf, gf.with_values(rhs))
-        if tag != b"e":
-            raise EOFError("the snapshot stream ended before its end tag")
-
     def send(self, snap: Snapshot) -> None:
-        u = snap.u
         try:
-            self._pipe.write(b"s" + self._head.pack(snap.t, u.h, *u.origin, *u.values.shape))
-            self._pipe.write(np.ascontiguousarray(u.values))
-            self._pipe.write(np.ascontiguousarray(snap.rhs.values))
+            pickle.dump(snap, self._pipe, pickle.HIGHEST_PROTOCOL)
+            # the pickle's last bytes would otherwise wait in the buffer for the
+            # next snapshot, and the child could not format this one meanwhile
+            self._pipe.flush()
         except BrokenPipeError:  # the child has exited early: joining says why
             self._join()
             raise
@@ -130,7 +118,7 @@ class _TrajectoryWriter:
     def close(self) -> None:
         """End the stream: the child writes the rest of the file and exits."""
         with contextlib.suppress(BrokenPipeError):  # a child that failed is reported by _join
-            self._pipe.write(b"e")
+            pickle.dump(None, self._pipe)
             self._pipe.flush()
 
     def _join(self) -> None:
@@ -152,13 +140,6 @@ class _TrajectoryWriter:
         else:
             with contextlib.suppress(OSError):  # the error already raised is the one to report
                 self._join()
-
-
-def _read_exactly(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise EOFError("the snapshot stream ended inside a snapshot")
-    return data
 
 
 def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, list[str]]:
@@ -240,33 +221,17 @@ def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        setup = load_config(args.config)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _run_pipeline(setup, Path(args.out))
-    except NumericalError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+    _run_pipeline(load_config(args.config), Path(args.out))
     print(f"artifacts written to {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
     outdir = Path(args.out) if args.out else None
-    try:
-        if outdir is not None:
-            outdir.mkdir(parents=True, exist_ok=True)
-        start = time.perf_counter()
-        results = run_suite(args.suite, outdir)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    results = run_suite(args.suite, outdir)
     print(f"verify {args.suite}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     for res in results:
         print(res.line())
@@ -378,43 +343,32 @@ def _chunks(groups: list[list[list]], workers: int) -> list[list]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        data = read_config(args.config)
-        axes = _parse_axes(args.axis or [])
-        assignments: list[tuple[tuple[str, float], ...]] = [()]
-        for dotted, values in axes:
-            assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
-        if args.jobs < 1:
-            raise SchemaError(f"--jobs must be at least 1, got {args.jobs}.")
-        groups: dict[str, dict[str, list]] = {}  # untreated config -> events -> points
-        dirs: dict[str, tuple] = {}
-        for index, assignment in enumerate(assignments):  # every point is checked before any runs
-            point = _point_data(data, assignment)
-            parse_config(point)
-            name = _point_dir(assignment)
-            if name in dirs:
-                raise SchemaError(
-                    f"sweep points {_describe(dirs[name])} and {_describe(assignment)} "
-                    f"share the directory '{name}'."
-                )
-            dirs[name] = assignment
-            untreated = json.dumps({k: v for k, v in point.items() if k != "tumor"}, sort_keys=True)
-            events = json.dumps(point.get("tumor", {}).get("events"))
-            groups.setdefault(untreated, {}).setdefault(events, []).append((index, assignment))
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    data = read_config(args.config)
+    axes = _parse_axes(args.axis or [])
+    assignments: list[tuple[tuple[str, float], ...]] = [()]
+    for dotted, values in axes:
+        assignments = [prev + ((dotted, v),) for prev in assignments for v in values]
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs must be at least 1, got {args.jobs}.")
+    groups: dict[str, dict[str, list]] = {}  # untreated config -> events -> points
+    dirs: dict[str, tuple] = {}
+    for index, assignment in enumerate(assignments):  # every point is checked before any runs
+        point = _point_data(data, assignment)
+        parse_config(point)
+        name = _point_dir(assignment)
+        if name in dirs:
+            raise SchemaError(
+                f"sweep points {_describe(dirs[name])} and {_describe(assignment)} "
+                f"share the directory '{name}'."
+            )
+        dirs[name] = assignment
+        untreated = json.dumps({k: v for k, v in point.items() if k != "tumor"}, sort_keys=True)
+        events = json.dumps(point.get("tumor", {}).get("events"))
+        groups.setdefault(untreated, {}).setdefault(events, []).append((index, assignment))
 
     chunks = _chunks([list(g.values()) for g in groups.values()], min(args.jobs, len(assignments)))
     payloads = [(data, chunk, args.out) for chunk in chunks]
-    try:
-        path, count = _run_sweep(payloads, min(args.jobs, len(payloads)), Path(args.out))
-    except NumericalError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+    path, count = _run_sweep(payloads, min(args.jobs, len(payloads)), Path(args.out))
     print(f"sweep table written to {path} ({count} runs)")
     return 0
 
@@ -468,7 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemaError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical abort: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ class AnalysisOptions:
             raise ValueError("speed_window must be [t_start, t_end].")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'.")
+        if not all(0 < level < 1 for level in self.levels):
+            raise ValueError("levels must lie in (0,1).")
 
 
 @dataclass
@@ -51,6 +53,12 @@ class RunSetup:
             raise SchemaError(
                 f"{_at('solver.scheme')}: 'imex-diffusion-implicit' is one-dimensional only, "
                 f"but problem.dimension is {self.problem.dimension}."
+            )
+        h, half_width = self.solver.h, self.problem.half_width
+        if round(half_width / h) < 1:  # Grid.centered needs a node each side of 0
+            raise SchemaError(
+                f"{_at('solver.h')}: h = {h:g} does not fit in problem.half_width = "
+                f"{half_width:g}; round(half_width / h) must be at least 1."
             )
         t_final = self.solver.t_final
         if self.schedule is not None and any(not 0 < t < t_final for t, _ in self.schedule.events):

@@ -64,6 +64,8 @@ class SolverConfig:
             raise ValueError("snapshot_every must be positive.")
         if self.snapshot_times is not None and any(not t >= 0 for t in self.snapshot_times):
             raise ValueError("snapshot_times must be nonnegative.")
+        if not (self.boundary_leak_tolerance >= 0 and self.hard_leak_threshold >= 0):
+            raise ValueError("boundary_leak_tolerance and hard_leak_threshold must be nonnegative.")
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is not None:

@@ -21,6 +21,7 @@ from kpplab.model import (
     Sine,
     Zero,
 )
+from kpplab.solver import NumericalError
 
 MINIMAL = {
     "problem": {
@@ -94,6 +95,10 @@ BAD_VALUES = [
     ("analysis", "margin", "x"),
     ("analysis", "speed_window", ["a", 1]),
     ("problem", "coefficient", {"kind": "sine", "base": 1.0, "amplitude": 0.5, "wavelength": 0}),
+    ("analysis", "levels", [1.5]),
+    ("solver", "h", 1000),
+    ("solver", "hard_leak_threshold", -1),
+    ("solver", "boundary_leak_tolerance", -1),
 ]
 
 
@@ -236,6 +241,17 @@ def test_cli_verify_green_passes(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("PASS")
     assert re.fullmatch(r"verify green: \d+\.\d{3} s\n", captured.err)
+
+
+def test_cli_verify_numerical_abort_exits_3(monkeypatch, capsys):
+    def aborting(suite, outdir):
+        raise NumericalError("boundary leak exceeds hard threshold")
+
+    monkeypatch.setattr(cli, "run_suite", aborting)
+    assert main(["verify", "green"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["numerical abort: boundary leak exceeds hard threshold"]
 
 
 def test_trajectory_writer_failure_is_an_os_error(tmp_path, capfd):
@@ -655,6 +671,20 @@ def test_two_dimensional_imex_is_a_schema_error(tmp_path, capsys):
     assert main(argv) == 2
     assert "'scheme'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_domain_narrower_than_a_spacing_is_a_schema_error(tmp_path, capsys):
+    # BAD_VALUES has the wide spacing; the piecewise reaction of with_key needs
+    # half_width above its radius, so the narrow domain is tried on MINIMAL
+    data = json.loads(json.dumps(MINIMAL))
+    data["problem"]["half_width"] = 0.01
+    with pytest.raises(SchemaError, match="key 'h' in block 'solver'.*half_width"):
+        parse_config(data)
+    cfg = write_config(tmp_path, data)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "half_width = 0.01" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("time", [0.0, -1.0, 8.0, 20.0])

@@ -13,6 +13,8 @@ each column by hand.
 """
 import math
 import os
+import pickle
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -162,6 +164,40 @@ def test_snapshot_larger_than_a_write_block(tmp_path):
     data = written_bytes(traj, tmp_path)
     assert data == reference_trajectory_bytes(traj)
     assert data.count(b"\n") == 1 + 2 * cells
+
+
+def test_stream_that_ends_inside_a_snapshot_leaves_no_file(tmp_path, capfd):
+    # the child has written the first snapshot's rows when the second stops
+    # halfway: an aborted run, whose partial file is removed without a word
+    traj = hand_built((41,), TIMES[:2])
+    data = pickle.dumps(traj.snapshots[1], pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(RuntimeError, match="aborted"):
+        with _TrajectoryWriter(traj.problem, tmp_path) as writer:
+            writer.send(traj.snapshots[0])
+            writer._pipe.write(data[: len(data) // 2])
+            raise RuntimeError("aborted")
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
+def test_sent_snapshot_reaches_the_child_before_the_next_is_sent(tmp_path):
+    # the child formats one snapshot while the caller solves the next, so all
+    # of a sent snapshot is in the pipe when send returns; its first block of
+    # rows outgrows the file buffer, so the child's progress shows on disk
+    traj = hand_built((2 * BLOCK_ROWS + 37,), TIMES[:2], seed=3)
+    path = tmp_path / "trajectory.csv"
+    with _TrajectoryWriter(traj.problem, tmp_path) as writer:
+        writer.send(traj.snapshots[0])
+        deadline = time.monotonic() + 10.0
+        while not (path.exists() and path.stat().st_size) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        streamed = path.exists() and path.stat().st_size > 0
+        writer.send(traj.snapshots[1])
+        writer.close()
+    assert streamed
+    assert path.read_bytes() == reference_trajectory_bytes(traj)
+    assert_no_child_left()
 
 
 def test_trajectory_of_no_snapshots_is_header_only(tmp_path):

@@ -190,7 +190,9 @@ def test_nan_parameters_are_rejected():
         Gaussian(1.0, 1.0): ("amplitude", "decay"),
         Exponential(1.0, 1.0): ("amplitude", "decay"),
         Bump(1.0, 1.0): ("radius",),
-        SolverConfig(h=0.1, t_final=1.0, dt=0.001): ("h", "t_final", "dt"),
+        SolverConfig(h=0.1, t_final=1.0, dt=0.001): (
+            "h", "t_final", "dt", "boundary_leak_tolerance", "hard_leak_threshold",
+        ),
         homogeneous_kpp(half_width=20.0): ("half_width",),
     }
     accepted = []
