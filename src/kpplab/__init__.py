@@ -34,6 +34,7 @@ from .solver import (
     Trajectory,
     discrete_rhs,
     fundamental_solution,
+    march,
     solve,
     solve_linear_halfline,
     step,
@@ -53,7 +54,10 @@ from .kernels import (
 from .analysis import (
     HypothesisMismatchError,
     LevelNotCrossedError,
+    LevelCurve,
     MonotonicityCertificate,
+    MonotonicityPass,
+    curve_speed,
     estimate_tau_star,
     find_T_monotone,
     level_position,
@@ -61,6 +65,7 @@ from .analysis import (
     spreading_speed,
     monotonicity_report,
     global_sign_report,
+    read_once,
 )
 from .tumor import (
     TreatmentSchedule,

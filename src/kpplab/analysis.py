@@ -1,5 +1,11 @@
 """Large-time monotonicity certificates extracted from trajectories.
 
+Each trajectory certificate is one pass over the snapshots: it reads any
+iterable of them once, in time order, and keeps only what it needs (one
+bool per snapshot, the inf-rhs curve, the t = 1 base of T_mono, u after
+tau*'s floor, one level position per snapshot). :func:`read_once` feeds one
+stream, such as :func:`kpplab.solver.march`, to several passes.
+
 The discrete time derivative is the stored rhs field (the PDE's right-hand
 side at the snapshot), not a finite difference in t. Strict sign checks
 exclude the far-field zero region (values below 1e-300) and a configurable
@@ -10,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .grids import GridFunction, level_crossings
 from .kernels import HalfLineParams, sign_region_x, t0_threshold
-from .solver import Snapshot, Trajectory, solve_linear_halfline
+from .solver import SNAPSHOT_TOL, Snapshot, Trajectory, solve_linear_halfline
 
 ORDER_TOL = 1e-10
 ZERO_FLOOR = 1e-300
@@ -50,29 +56,61 @@ def level_position(snapshot: GridFunction, level: float, side: str = "right") ->
     return float(positions[-1] if side == "right" else positions[0])
 
 
-def spreading_speed(
-    traj: Trajectory,
-    level: float,
-    window: tuple[float, float],
-    side: str = "right",
-) -> float:
-    """Least-squares slope of the level curve over the time window."""
+def read_once(snapshots: Iterable[Snapshot], *passes):
+    """Feed each snapshot of ``snapshots``, read once and in time order, to
+    every pass's ``add``; returns the passes' ``result()`` in order.
+
+    A pass keeps only what its certificate needs, so a stream from
+    :func:`kpplab.solver.march` is certified without keeping a trajectory.
+    """
+    for snap in snapshots:
+        for p in passes:
+            p.add(snap)
+    return tuple(p.result() for p in passes)
+
+
+class LevelCurve:
+    """One pass: the outermost crossing of ``level`` per snapshot, as (t, x);
+    snapshots that do not cross it are skipped."""
+
+    def __init__(self, level: float, side: str = "right"):
+        self.level, self.side = level, side
+        self.points: list[tuple[float, float]] = []
+
+    def add(self, snap: Snapshot) -> None:
+        try:
+            self.points.append((snap.t, level_position(snap.u, self.level, self.side)))
+        except LevelNotCrossedError:
+            pass
+
+    def result(self) -> list[tuple[float, float]]:
+        return self.points
+
+
+def level_curve(
+    traj: Iterable[Snapshot], level: float, side: str = "right"
+) -> list[tuple[float, float]]:
+    return read_once(traj, LevelCurve(level, side))[0]
+
+
+def curve_speed(curve: Sequence[tuple[float, float]], window: tuple[float, float]) -> float:
+    """Least-squares slope of a level curve over the time window."""
     lo, hi = window[0] - 1e-9, window[1] + 1e-9
-    points = [(t, x) for t, x in level_curve(traj, level, side) if lo <= t <= hi]
+    points = [(t, x) for t, x in curve if lo <= t <= hi]
     if len(points) < 5:
         raise ValueError(f"need >= 5 crossings in the window, found {len(points)}.")
     ts, xs = zip(*points)
     return float(np.polyfit(ts, xs, 1)[0])
 
 
-def level_curve(traj: Trajectory, level: float, side: str = "right") -> list[tuple[float, float]]:
-    out = []
-    for snap in traj:
-        try:
-            out.append((snap.t, level_position(snap.u, level, side)))
-        except LevelNotCrossedError:
-            continue
-    return out
+def spreading_speed(
+    traj: Iterable[Snapshot],
+    level: float,
+    window: tuple[float, float],
+    side: str = "right",
+) -> float:
+    """Least-squares slope of the level curve over the time window."""
+    return curve_speed(level_curve(traj, level, side), window)
 
 
 def _holds_from(ok: np.ndarray) -> Optional[int]:
@@ -88,40 +126,81 @@ def _settles_at(times: np.ndarray, ok: np.ndarray) -> float:
     return math.inf if i is None else float(times[i])
 
 
-def find_T_monotone(traj: Trajectory) -> float:
+class _ShiftPass:
+    """One pass for T_mono: keeps the t = 1 snapshot's u and one bool per
+    later snapshot."""
+
+    def __init__(self) -> None:
+        self.base: Optional[np.ndarray] = None
+        self.times: list[float] = []
+        self.ok: list[bool] = []
+
+    def add(self, snap: Snapshot) -> None:
+        if self.base is None and abs(snap.t - 1.0) <= SNAPSHOT_TOL:
+            self.base = snap.u.values
+        if self.base is not None and snap.t > 1.0 + 1e-12:
+            self.times.append(snap.t)
+            self.ok.append(float(np.min(snap.u.values - self.base)) >= -ORDER_TOL)
+
+    def result(self) -> float:
+        if self.base is None:
+            raise ValueError("find_T_monotone needs a snapshot at t=1 (request it in the config).")
+        if not self.times:
+            return math.inf
+        return _settles_at(np.array(self.times), np.array(self.ok)) - 1.0
+
+
+def find_T_monotone(traj: Iterable[Snapshot]) -> float:
     """Smallest snapshot shift T with u(1+t,.) >= u(1,.) - ORDER_TOL for every
     snapshot shift t >= T; +inf sentinel when no shift qualifies."""
-    try:
-        base = traj.snapshot_at(1.0)
-    except KeyError:
-        raise ValueError("find_T_monotone needs a snapshot at t=1 (request it in the config).")
-    later = [s for s in traj if s.t > 1.0 + 1e-12]
-    if not later:
-        return math.inf
-    ok = np.array([float(np.min(s.u.values - base.u.values)) >= -ORDER_TOL for s in later])
-    return _settles_at(np.array([s.t for s in later]), ok) - 1.0
+    return read_once(traj, _ShiftPass())[0]
 
 
-def estimate_tau_star(traj: Trajectory, t_floor: float) -> float:
+class _CombPass:
+    """One pass for tau*: keeps u of the snapshots at or after the floor, and
+    for each of them one bool per later snapshot, min(u_later - u) >=
+    -ORDER_TOL, taken when the later one arrives. Without ``t_floor`` the
+    floor is half the last time seen, so a snapshot is dropped, with its
+    bools, once it falls below half of the latest time."""
+
+    def __init__(self, t_floor: Optional[float]):
+        self.t_floor = t_floor
+        self.kept: list[tuple[float, np.ndarray, list[bool]]] = []
+        self.diff: Optional[np.ndarray] = None
+
+    def add(self, snap: Snapshot) -> None:
+        floor = self.t_floor if self.t_floor is not None else snap.t / 2.0
+        while self.kept and self.kept[0][0] < floor - 1e-9:
+            self.kept.pop(0)
+        if snap.t < floor - 1e-9:
+            return
+        u = snap.u.values
+        if self.diff is None:
+            self.diff = np.empty_like(u)
+        for _, earlier, ok in self.kept:
+            np.subtract(u, earlier, out=self.diff)
+            ok.append(bool(np.min(self.diff) >= -ORDER_TOL))
+        self.kept.append((snap.t, u, []))
+
+    def result(self) -> float:
+        m = len(self.kept)
+        if m < 20:
+            raise ValueError(f"time comb too coarse after t_floor: {m} < 20 snapshots.")
+        steps = np.diff([t for t, _, _ in self.kept])
+        if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-9):
+            raise ValueError("snapshots after t_floor must form a uniform comb.")
+        # shift j holds when every pair j snapshots apart is ordered
+        ordered = np.array(
+            [True] + [all(ok[j - 1] for _, _, ok in self.kept[: m - j]) for j in range(1, m)]
+        )
+        j = _holds_from(ordered)
+        return math.inf if j is None else float(max(j, 1) * steps[0])
+
+
+def estimate_tau_star(traj: Iterable[Snapshot], t_floor: float) -> float:
     """Smallest comb shift tau with u(t+tau',.) >= u(t,.) - ORDER_TOL for every
     comb shift tau' >= tau and every comb time t >= t_floor; +inf sentinel."""
-    comb = [s for s in traj if s.t >= t_floor - 1e-9]
-    if len(comb) < 20:
-        raise ValueError(f"time comb too coarse after t_floor: {len(comb)} < 20 snapshots.")
-    times = np.array([s.t for s in comb])
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-9):
-        raise ValueError("snapshots after t_floor must form a uniform comb.")
-    delta = float(steps[0])
-    fields = np.stack([s.u.values for s in comb])
-    m = len(comb)
-    ordered = np.empty(m, dtype=bool)
-    ordered[0] = True
-    for j in range(1, m):
-        diff = fields[j:] - fields[: m - j]
-        ordered[j] = bool(np.min(diff) >= -ORDER_TOL)
-    j = _holds_from(ordered)
-    return math.inf if j is None else float(max(j, 1) * delta)
+    return read_once(traj, _CombPass(t_floor))[0]
 
 
 @dataclass
@@ -166,76 +245,95 @@ def _reliable(snap: Snapshot, margin: float) -> np.ndarray:
     return snap.u.interior_mask(margin) & (u >= ZERO_FLOOR) & (u <= 1.0 - ONE_FLOOR)
 
 
-def _positive_above(snap: Snapshot, reliable: np.ndarray, eps: float) -> bool:
-    """rhs > 0 at every reliable cell with u >= eps (true when none qualifies)."""
-    return bool(np.all(snap.rhs.values[reliable & (snap.u.values >= eps)] > 0.0))
+class _SignPass:
+    """One pass for the sign certificates: per snapshot after ``t_after``,
+    one bool per eps (rhs > 0 at every reliable cell with u >= eps, true
+    when none qualifies) and the inf-rhs curve."""
+
+    def __init__(self, eps_list: Sequence[float], margin: float, t_after: float = -math.inf):
+        self.eps_list, self.margin, self.t_after = eps_list, margin, t_after
+        self.times: list[float] = []
+        self.ok: list[list[bool]] = []
+        self.inf_curve: list[tuple[float, float]] = []
+
+    def add(self, snap: Snapshot) -> None:
+        if snap.rhs is None:
+            raise ValueError("trajectory snapshots carry no rhs fields.")
+        if snap.t <= self.t_after:
+            return
+        m = _reliable(snap, self.margin)
+        rhs, u = snap.rhs.values, snap.u.values
+        # On the whole space inf_x u_t <= 0 for every t (u_t -> 0 at infinity),
+        # so the truncated proxy includes that limit: the curve is the
+        # nonpositive part of the masked minimum, 0 when the rhs is positive.
+        self.inf_curve.append((snap.t, min(0.0, float(np.min(rhs[m]))) if m.any() else 0.0))
+        self.times.append(snap.t)
+        self.ok.append([bool(np.all(rhs[m & (u >= eps)] > 0.0)) for eps in self.eps_list])
+
+    def result(self) -> dict[float, float]:
+        """T_eps per eps: the first time from which its bool holds for good."""
+        times = np.array(self.times)
+        ok = np.array(self.ok, dtype=bool).reshape(len(self.times), len(self.eps_list))
+        return {float(eps): _settles_at(times, ok[:, k]) for k, eps in enumerate(self.eps_list)}
 
 
-def _snapshots_with_rhs(traj: Trajectory) -> list[Snapshot]:
-    snaps = list(traj)
-    if any(s.rhs is None for s in snaps):
-        raise ValueError("trajectory snapshots carry no rhs fields.")
-    return snaps
+class MonotonicityPass:
+    """One pass for :func:`monotonicity_report`: the sign bools and inf-rhs
+    curve, the t = 1 base of T_mono and the comb of tau*."""
+
+    def __init__(self, eps_list: Sequence[float], t_floor: Optional[float] = None, margin: float = 1.0):
+        self.margin = margin
+        self.signs = _SignPass(eps_list, margin)
+        self.shift = _ShiftPass()
+        self.comb = _CombPass(t_floor)
+
+    def add(self, snap: Snapshot) -> None:
+        self.signs.add(snap)
+        self.shift.add(snap)
+        self.comb.add(snap)
+
+    def result(self) -> MonotonicityCertificate:
+        verdicts: dict[str, ClauseVerdict] = {}
+        T_eps = self.signs.result()
+        for eps, T in T_eps.items():
+            verdicts[f"sign_above_{eps:g}"] = ClauseVerdict(
+                passed=math.isfinite(T),
+                detail=f"T_eps={T:g}" if math.isfinite(T) else "no qualifying time in the run",
+            )
+        t_last, inf_last = self.signs.inf_curve[-1]
+        tail = abs(inf_last)
+        verdicts["inf_rhs_tail"] = ClauseVerdict(
+            passed=tail <= TAIL_TOL,
+            detail=f"|inf rhs|({t_last:g}) = {tail:.3e} vs {TAIL_TOL:g}",
+        )
+        return MonotonicityCertificate(
+            T_mono=_or_none(self.shift.result),
+            tau_star_estimate=_or_none(self.comb.result),
+            T_eps=T_eps,
+            inf_ut_curve=self.signs.inf_curve,
+            verdicts=verdicts,
+            margin=self.margin,
+        )
+
+
+def _or_none(result: Callable[[], float]) -> Optional[float]:
+    try:
+        return result()
+    except ValueError:
+        return None
 
 
 def monotonicity_report(
-    traj: Trajectory,
+    traj: Iterable[Snapshot],
     eps_list: Sequence[float],
     t_floor: Optional[float] = None,
     margin: float = 1.0,
 ) -> MonotonicityCertificate:
     """For each eps: first snapshot time after which rhs > 0 wherever
-    u >= eps, verified on all later snapshots; plus the inf-rhs curve."""
-    snaps = _snapshots_with_rhs(traj)
-    times = np.array([s.t for s in snaps])
-
-    # On the whole space inf_x u_t <= 0 for every t (u_t -> 0 at infinity), so
-    # the truncated proxy includes that limit: the curve is the nonpositive
-    # part of the masked minimum, 0 when the rhs is positive everywhere.
-    inf_curve: list[tuple[float, float]] = []
-    ok = np.empty((len(eps_list), len(snaps)), dtype=bool)
-    for i, s in enumerate(snaps):
-        m = _reliable(s, margin)
-        inf_curve.append((s.t, min(0.0, float(np.min(s.rhs.values[m]))) if m.any() else 0.0))
-        for k, eps in enumerate(eps_list):
-            ok[k, i] = _positive_above(s, m, eps)
-
-    verdicts: dict[str, ClauseVerdict] = {}
-    T_eps: dict[float, float] = {}
-    for eps, ok_eps in zip(eps_list, ok):
-        T = _settles_at(times, ok_eps)
-        T_eps[float(eps)] = T
-        verdicts[f"sign_above_{eps:g}"] = ClauseVerdict(
-            passed=math.isfinite(T),
-            detail=f"T_eps={T:g}" if math.isfinite(T) else "no qualifying time in the run",
-        )
-
-    tail = abs(inf_curve[-1][1])
-    verdicts["inf_rhs_tail"] = ClauseVerdict(
-        passed=tail <= TAIL_TOL,
-        detail=f"|inf rhs|({times[-1]:g}) = {tail:.3e} vs {TAIL_TOL:g}",
-    )
-
-    T_mono: Optional[float] = None
-    try:
-        T_mono = find_T_monotone(traj)
-    except ValueError:
-        pass
-    tau_star: Optional[float] = None
-    floor = t_floor if t_floor is not None else float(times[-1]) / 2.0
-    try:
-        tau_star = estimate_tau_star(traj, floor)
-    except ValueError:
-        pass
-
-    return MonotonicityCertificate(
-        T_mono=T_mono,
-        tau_star_estimate=tau_star,
-        T_eps=T_eps,
-        inf_ut_curve=inf_curve,
-        verdicts=verdicts,
-        margin=margin,
-    )
+    u >= eps, verified on all later snapshots; plus the inf-rhs curve,
+    T_mono and tau* (None where the run cannot give them; tau*'s floor
+    defaults to half the last snapshot time)."""
+    return read_once(traj, MonotonicityPass(eps_list, t_floor, margin))[0]
 
 
 @dataclass
@@ -253,7 +351,8 @@ def global_sign_report(traj: Trajectory, margin: float = 1.0) -> GlobalSignCerti
     at eps = 0.
 
     Only valid for the 1D class: reaction piecewise with linear pieces near 0
-    and coefficient exactly constant for large |x|.
+    and coefficient exactly constant for large |x|. ``traj`` is any iterable
+    of snapshots with a ``problem`` attribute, read once.
     """
     p = traj.problem
     if p.dimension != 1:
@@ -267,9 +366,8 @@ def global_sign_report(traj: Trajectory, margin: float = 1.0) -> GlobalSignCerti
             "global sign certificate requires a coefficient constant for large |x|."
         )
     # t=0 carries the raw initial datum; the statement concerns t >= tau > 0
-    snaps = [s for s in _snapshots_with_rhs(traj) if s.t > 1e-12]
-    ok = np.array([_positive_above(s, _reliable(s, margin), 0.0) for s in snaps], dtype=bool)
-    return GlobalSignCertificate(tau_global=_settles_at(np.array([s.t for s in snaps]), ok))
+    T_eps = read_once(traj, _SignPass((0.0,), margin, t_after=1e-12))[0]
+    return GlobalSignCertificate(tau_global=T_eps[0.0])
 
 
 def two_sided_t0(rate_minus: float, rate_plus: float) -> float:

@@ -38,6 +38,8 @@ class AnalysisOptions:
             raise ValueError("side must be 'left' or 'right'.")
         if not all(0 < level < 1 for level in self.levels):
             raise ValueError("levels must lie in (0,1).")
+        if not all(0 < eps < 1 for eps in self.eps_list):
+            raise ValueError("eps_list values must lie in (0,1).")
 
 
 @dataclass

@@ -90,7 +90,6 @@ class Trajectory:
     problem: Problem
     config: SolverConfig
     snapshots: list[Snapshot] = field(default_factory=list)
-    leak_max: float = 0.0
     # runs continued from this one, solved once each: tumor.run_protocol keeps
     # its treated segments here, keyed by their events and end time
     continued: dict = field(default_factory=dict, repr=False, compare=False)
@@ -474,21 +473,21 @@ def _boundary_cells_max(values: np.ndarray) -> float:
     return float(np.max(np.abs(ring)))
 
 
-def solve(
+def march(
     p: Problem,
     cfg: SolverConfig,
     validate: bool = True,
     start: Optional[Snapshot] = None,
-    on_snapshot: Optional[Callable[[Snapshot], None]] = None,
-) -> Trajectory:
-    """Run the problem to t_final, recording (t, u, rhs) snapshots.
+) -> Iterator[Snapshot]:
+    """Yield the run's (t, u, rhs) snapshots one at a time, none of them kept.
 
     Snapshot times are absolute. Without ``start`` the run begins at t=0 from
     the problem's initial datum; with it, at ``start.t`` from ``start.u``, and
-    it records start.t and every resolved snapshot time in (start.t, t_final].
-    ``on_snapshot(snap)`` runs on each snapshot right after it is recorded.
-    Emits a boundary-leak warning past cfg.boundary_leak_tolerance and aborts
-    past cfg.hard_leak_threshold (domain too small for the requested horizon).
+    it yields start.t and every resolved snapshot time in (start.t, t_final].
+    Each snapshot owns its arrays. Emits a boundary-leak warning past
+    cfg.boundary_leak_tolerance and aborts past cfg.hard_leak_threshold
+    (domain too small for the requested horizon). As a generator it checks
+    its inputs when the first snapshot is asked for.
     """
     if validate:
         report = validate_problem(p)
@@ -509,7 +508,6 @@ def solve(
     times = cfg.resolved_snapshot_times()
     targets = np.concatenate(([start.t], times[times > start.t + 1e-12]))
 
-    traj = Trajectory(problem=p, config=cfg)
     warned = False
     _check_solution_range(start.u.values, start.t)
     advance = stepper.step_explicit if explicit else stepper.step_imex
@@ -518,22 +516,37 @@ def solve(
         values = layout.unfold(state)
         _check_solution_range(values, t)
         leak = _boundary_cells_max(values)
-        traj.leak_max = max(traj.leak_max, leak)
         if leak > cfg.hard_leak_threshold:
             raise NumericalError(
                 f"boundary leak {leak:.3e} exceeds hard threshold at t={t:.6g}; "
                 "domain too small for the requested t_final."
             )
         if leak > cfg.boundary_leak_tolerance and not warned:
+            # level 3 names the caller of solve, or of whatever reads the stream
             warnings.warn(
                 f"boundary leak {leak:.3e} above tolerance {cfg.boundary_leak_tolerance:.1e} "
                 f"at t={t:.6g}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             warned = True
         gf = GridFunction(values, grid.h, grid.origin)
-        snap = Snapshot(t=t, u=gf, rhs=gf.with_values(layout.unfold(stepper.rhs(state))))
+        yield Snapshot(t=t, u=gf, rhs=gf.with_values(layout.unfold(stepper.rhs(state))))
+
+
+def solve(
+    p: Problem,
+    cfg: SolverConfig,
+    validate: bool = True,
+    start: Optional[Snapshot] = None,
+    on_snapshot: Optional[Callable[[Snapshot], None]] = None,
+) -> Trajectory:
+    """Run the problem to t_final and keep every snapshot of :func:`march`.
+
+    ``on_snapshot(snap)`` runs on each snapshot right after it is recorded.
+    """
+    traj = Trajectory(problem=p, config=cfg)
+    for snap in march(p, cfg, validate, start):
         traj.snapshots.append(snap)
         if on_snapshot is not None:
             on_snapshot(snap)

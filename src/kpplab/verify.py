@@ -20,7 +20,7 @@ from . import tumor as tu
 from .csvio import records, write_csv
 from .grids import Grid, GridFunction
 from .model import Constant, Sine, homogeneous_kpp, piecewise_kpp_problem
-from .solver import SolverConfig, fundamental_solution, solve, solve_linear_halfline
+from .solver import SolverConfig, fundamental_solution, march, solve, solve_linear_halfline
 
 SUITES = (
     "theorem1",
@@ -45,19 +45,22 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def invasion_bundle(h: float = 0.1):
-    """The homogeneous KPP acceptance run and its certificate (cached)."""
+    """The homogeneous KPP acceptance run, marched once into its certificate
+    and its level-0.5 curve, which it returns (cached); it keeps no
+    trajectory."""
     p = homogeneous_kpp(half_width=200.0)
-    traj = solve(p, SolverConfig(h=h, t_final=80.0, snapshot_every=1.0))
-    cert = an.monotonicity_report(traj, eps_list=(0.1,), t_floor=20.0)
-    return p, traj, cert
+    snapshots = march(p, SolverConfig(h=h, t_final=80.0, snapshot_every=1.0))
+    return an.read_once(
+        snapshots, an.MonotonicityPass(eps_list=(0.1,), t_floor=20.0), an.LevelCurve(0.5)
+    )
 
 
 def suite_invasion(outdir: Optional[Path] = None) -> list[CheckResult]:
-    _, traj, cert = invasion_bundle(0.1)
-    _, traj_f, cert_f = invasion_bundle(0.05)
+    cert, curve = invasion_bundle(0.1)
+    cert_f, _ = invasion_bundle(0.05)
     results = []
 
-    speed = an.spreading_speed(traj, 0.5, (40.0, 80.0))
+    speed = an.curve_speed(curve, (40.0, 80.0))
     results.append(
         CheckResult(
             "spreading-speed",
@@ -103,11 +106,7 @@ def suite_invasion(outdir: Optional[Path] = None) -> list[CheckResult]:
 
     if outdir is not None:
         write_csv(outdir / "inf_rhs.csv", ["t", "inf_rhs"], cert.inf_ut_curve)
-        write_csv(
-            outdir / "level_pos.csv",
-            ["t", "level_pos"],
-            an.level_curve(traj, 0.5),
-        )
+        write_csv(outdir / "level_pos.csv", ["t", "level_pos"], curve)
     return results
 
 

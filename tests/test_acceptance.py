@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line per criterion (run with `pytest -v -s`
 to see them live). Heavy runs are shared through the cached bundles in
 kpplab.verify, so the whole module stays within a few minutes.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -26,9 +27,21 @@ def _report(number: str, results) -> None:
     assert ok, "; ".join(r.line() for r in results if not r.passed)
 
 
+# sha256 of the theorem1 artifacts, as the suite wrote them when it kept its
+# two trajectories; marching straight into the certificates keeps the bytes
+THEOREM1_DIGESTS = {
+    "inf_rhs.csv": "2d1dbf0a91775c21f2645adac69cb28acff685cad07d766d250b044d3f0a0a8e",
+    "level_pos.csv": "757ebb37d8302d9854eb72a30f59b867b6c5e0a80a623536556649671a517121",
+}
+
+
 @pytest.fixture(scope="module")
-def invasion_results():
-    return verify.suite_invasion()
+def invasion_results(tmp_path_factory):
+    out = tmp_path_factory.mktemp("theorem1")
+    results = verify.suite_invasion(out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in THEOREM1_DIGESTS}
+    assert digests == THEOREM1_DIGESTS
+    return results
 
 
 @pytest.fixture(scope="module")

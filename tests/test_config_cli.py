@@ -96,6 +96,8 @@ BAD_VALUES = [
     ("analysis", "speed_window", ["a", 1]),
     ("problem", "coefficient", {"kind": "sine", "base": 1.0, "amplitude": 0.5, "wavelength": 0}),
     ("analysis", "levels", [1.5]),
+    ("analysis", "eps_list", [2.0]),
+    ("analysis", "eps_list", [-1.0]),
     ("solver", "h", 1000),
     ("solver", "hard_leak_threshold", -1),
     ("solver", "boundary_leak_tolerance", -1),
