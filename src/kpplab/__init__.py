@@ -52,6 +52,7 @@ from .kernels import (
     t0_threshold,
 )
 from .analysis import (
+    GlobalSignPass,
     HypothesisMismatchError,
     LevelNotCrossedError,
     LevelCurve,
@@ -64,6 +65,7 @@ from .analysis import (
     halfline_sign_verify,
     spreading_speed,
     monotonicity_report,
+    global_sign_mismatch,
     global_sign_report,
     read_once,
 )

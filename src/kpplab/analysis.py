@@ -345,29 +345,44 @@ class GlobalSignCertificate:
         return math.isfinite(self.tau_global)
 
 
+def global_sign_mismatch(problem) -> Optional[str]:
+    """Why the global sign certificate does not cover ``problem``, or None
+    when it does: the 1D class with the reaction piecewise, linear near 0,
+    and the coefficient exactly constant for large |x|."""
+    if problem.dimension != 1:
+        return "global sign certificate requires a 1D problem."
+    if not problem.reaction.linear_near_zero:
+        return "global sign certificate requires the piecewise reaction with linear pieces near 0."
+    if not problem.coefficient.constant_at_infinity:
+        return "global sign certificate requires a coefficient constant for large |x|."
+    return None
+
+
+class GlobalSignPass(_SignPass):
+    """One pass for :func:`global_sign_report`: the sign test at eps = 0 on
+    the snapshots after t = 0, which carries the raw initial datum (the
+    statement concerns t >= tau > 0)."""
+
+    def __init__(self, margin: float = 1.0):
+        super().__init__((0.0,), margin, t_after=1e-12)
+
+    def result(self) -> GlobalSignCertificate:
+        return GlobalSignCertificate(tau_global=super().result()[0.0])
+
+
 def global_sign_report(traj: Trajectory, margin: float = 1.0) -> GlobalSignCertificate:
     """Smallest positive snapshot time after which rhs > 0 at every reliable
     cell, for all later snapshots: the sign test of ``monotonicity_report``
     at eps = 0.
 
-    Only valid for the 1D class: reaction piecewise with linear pieces near 0
-    and coefficient exactly constant for large |x|. ``traj`` is any iterable
-    of snapshots with a ``problem`` attribute, read once.
+    Raises :class:`HypothesisMismatchError` outside the class of
+    :func:`global_sign_mismatch`. ``traj`` is any iterable of snapshots with
+    a ``problem`` attribute, read once.
     """
-    p = traj.problem
-    if p.dimension != 1:
-        raise HypothesisMismatchError("global sign certificate requires a 1D problem.")
-    if not p.reaction.linear_near_zero:
-        raise HypothesisMismatchError(
-            "global sign certificate requires the piecewise reaction with linear pieces near 0."
-        )
-    if not p.coefficient.constant_at_infinity:
-        raise HypothesisMismatchError(
-            "global sign certificate requires a coefficient constant for large |x|."
-        )
-    # t=0 carries the raw initial datum; the statement concerns t >= tau > 0
-    T_eps = read_once(traj, _SignPass((0.0,), margin, t_after=1e-12))[0]
-    return GlobalSignCertificate(tau_global=T_eps[0.0])
+    reason = global_sign_mismatch(traj.problem)
+    if reason is not None:
+        raise HypothesisMismatchError(reason)
+    return read_once(traj, GlobalSignPass(margin))[0]
 
 
 def two_sided_t0(rate_minus: float, rate_plus: float) -> float:

@@ -158,44 +158,41 @@ def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, lis
         writer.close()
         written = ["trajectory.csv"]
 
-        cert_lines = ["hypothesis report", report.summary(), ""]
+        # one read of the run feeds every certificate, each pass keeping what it needs
         opts = setup.analysis
-        if opts.eps_list:
-            cert = an.monotonicity_report(
-                traj, opts.eps_list, t_floor=opts.tau_floor, margin=opts.margin
-            )
+        mono = an.MonotonicityPass(opts.eps_list, opts.tau_floor, opts.margin) if opts.eps_list else None
+        levels = opts.levels if setup.problem.dimension == 1 else ()  # level curves are 1D only
+        curves = [an.LevelCurve(level, opts.side) for level in levels]
+        sign = an.GlobalSignPass(opts.margin) if an.global_sign_mismatch(setup.problem) is None else None
+        passes = [p for p in (mono, *curves, sign) if p is not None]
+        result = dict(zip(passes, an.read_once(traj, *passes)))
+
+        cert_lines = ["hypothesis report", report.summary(), ""]
+        if mono is not None:
+            cert = result[mono]
             cert_lines.append(cert.to_text())
             write_csv(outdir / "inf_rhs.csv", ["t", "inf_rhs"], cert.inf_ut_curve)
-            write_csv(
-                outdir / "t_eps.csv",
-                ["eps", "T_eps"],
-                sorted(cert.T_eps.items()),
-            )
+            write_csv(outdir / "t_eps.csv", ["eps", "T_eps"], sorted(cert.T_eps.items()))
             written += ["inf_rhs.csv", "t_eps.csv"]
             metrics["tau_star"] = cert.tau_star_estimate
             finite = [v for v in cert.T_eps.values() if math.isfinite(v)]
             metrics["T_eps_min"] = min(finite) if finite else math.inf
 
-        if setup.problem.dimension == 1 and opts.levels:
-            for k, level in enumerate(opts.levels):
-                curve = an.level_curve(traj, level, opts.side)
-                name = "level_pos.csv" if k == 0 else f"level_pos_{k + 1}.csv"
-                write_csv(outdir / name, ["t", "level_pos"], curve)
-                written.append(name)
-                if opts.speed_window is not None:
-                    try:
-                        speed = an.spreading_speed(traj, level, opts.speed_window, opts.side)
-                        cert_lines.append(f"speed(level={level:g}) = {speed:.6g}")
-                        metrics.setdefault("speed", speed)
-                    except ValueError as exc:
-                        cert_lines.append(f"speed(level={level:g}) unavailable: {exc}")
+        for k, curve in enumerate(curves):
+            name = "level_pos.csv" if k == 0 else f"level_pos_{k + 1}.csv"
+            write_csv(outdir / name, ["t", "level_pos"], result[curve])
+            written.append(name)
+            if opts.speed_window is not None:
+                try:
+                    speed = an.curve_speed(result[curve], opts.speed_window)
+                    cert_lines.append(f"speed(level={curve.level:g}) = {speed:.6g}")
+                    metrics.setdefault("speed", speed)
+                except ValueError as exc:
+                    cert_lines.append(f"speed(level={curve.level:g}) unavailable: {exc}")
 
-        try:
-            cert2 = an.global_sign_report(traj, margin=opts.margin)
-            cert_lines.append(f"global sign time tau_global = {cert2.tau_global:g}")
-            metrics["tau_global"] = cert2.tau_global
-        except an.HypothesisMismatchError:
-            pass
+        if sign is not None:
+            cert_lines.append(f"global sign time tau_global = {result[sign].tau_global:g}")
+            metrics["tau_global"] = result[sign].tau_global
 
         (outdir / "certificate.txt").write_text("\n".join(cert_lines) + "\n")
         written.append("certificate.txt")

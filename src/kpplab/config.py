@@ -32,8 +32,10 @@ class AnalysisOptions:
     side: str = "right"
 
     def __post_init__(self) -> None:
-        if self.speed_window is not None and len(self.speed_window) != 2:
-            raise ValueError("speed_window must be [t_start, t_end].")
+        if self.speed_window is not None and (
+            len(self.speed_window) != 2 or not self.speed_window[0] < self.speed_window[1]
+        ):
+            raise ValueError("speed_window must be [t_start, t_end] with t_start < t_end.")
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'.")
         if not all(0 < level < 1 for level in self.levels):

@@ -120,6 +120,27 @@ def kpp_run_fine_comb():
     return solve(p, SolverConfig(h=0.1, t_final=30.0, snapshot_every=0.5))
 
 
+def test_curve_speed_needs_five_crossings_in_the_window():
+    curve = [(float(t), 3.0 * t + 1.0) for t in range(10)]
+    with pytest.raises(ValueError, match="found 4"):
+        an.curve_speed(curve, (0.0, 3.0))
+    assert an.curve_speed(curve, (0.0, 4.0)) == pytest.approx(3.0)
+
+
+def test_curve_speed_window_ends_are_inclusive_to_1e_9():
+    curve = [(float(t), 3.0 * t + 1.0) for t in range(1, 6)]
+    assert an.curve_speed(curve, (1.0 + 0.5e-9, 5.0 - 0.5e-9)) == pytest.approx(3.0)
+    for window in ((1.0 + 2e-9, 5.0), (1.0, 5.0 - 2e-9)):
+        with pytest.raises(ValueError, match="found 4"):
+            an.curve_speed(curve, window)
+
+
+def test_curve_speed_of_the_level_curve_is_the_spreading_speed(kpp_run):
+    for level, window in ((0.5, (10.0, 30.0)), (0.1, (15.0, 25.0))):
+        speed = an.curve_speed(an.level_curve(kpp_run, level), window)
+        assert speed == an.spreading_speed(kpp_run, level, window)
+
+
 def test_speed_is_level_insensitive_for_steep_fronts(kpp_run):
     speeds = [an.spreading_speed(kpp_run, lvl, (10.0, 30.0)) for lvl in (0.3, 0.5, 0.7)]
     assert max(speeds) - min(speeds) <= 0.01 * 2.0
@@ -203,6 +224,21 @@ def test_theorem2_report_rejects_two_dimensional():
     traj = solve(p, SolverConfig(h=0.25, t_final=1.0, snapshot_every=0.5, boundary_leak_tolerance=1e-3))
     with pytest.raises(an.HypothesisMismatchError):
         an.global_sign_report(traj)
+
+
+def test_global_sign_mismatch_names_the_failed_hypothesis():
+    from kpplab.model import Bump, PiecewiseKPP, Problem, Sine
+
+    sine = Problem(1, 20.0, Sine(2.0, 0.5, 5.0), PiecewiseKPP(0.5, 1.0, 0.3, 10.0), Bump(1.0, 1.0))
+    expected = {
+        "global sign certificate requires a 1D problem.": homogeneous_kpp(half_width=8.0, dimension=2),
+        "global sign certificate requires the piecewise reaction with linear pieces near 0.":
+            homogeneous_kpp(),
+        "global sign certificate requires a coefficient constant for large |x|.": sine,
+    }
+    for message, problem in expected.items():
+        assert an.global_sign_mismatch(problem) == message
+    assert an.global_sign_mismatch(piecewise_kpp_problem()) is None
 
 
 def test_harnack_shift_constant_positive(global_sign_run):

@@ -94,6 +94,8 @@ BAD_VALUES = [
     ("analysis", "eps_list", [True]),
     ("analysis", "margin", "x"),
     ("analysis", "speed_window", ["a", 1]),
+    ("analysis", "speed_window", [30.0, 10.0]),
+    ("analysis", "speed_window", [10.0, 10.0]),
     ("problem", "coefficient", {"kind": "sine", "base": 1.0, "amplitude": 0.5, "wavelength": 0}),
     ("analysis", "levels", [1.5]),
     ("analysis", "eps_list", [2.0]),

@@ -12,6 +12,7 @@ holds much less than the march's trajectory.
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpplab import analysis as an
+from kpplab import cli
 from kpplab.analysis import ONE_FLOOR, ORDER_TOL, TAIL_TOL, ZERO_FLOOR
 from kpplab.grids import Grid, GridFunction
-from kpplab.model import homogeneous_kpp
+from kpplab.config import load_config
+from kpplab.model import homogeneous_kpp, piecewise_kpp_problem
 from kpplab.solver import Snapshot, SolverConfig, Trajectory, march, solve
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 GRID = Grid.centered(3.0, 0.5, 1)
@@ -262,3 +266,34 @@ def test_streamed_certificate_holds_less_than_half_the_trajectory():
         tracemalloc.stop()
     assert math.isfinite(cert.T_eps[0.1]) and cert.tau_star_estimate is not None
     assert peak < size / 2
+
+
+def test_global_sign_pass_on_a_march_equals_the_report():
+    p = piecewise_kpp_problem(half_width=40.0)
+    cfg = SolverConfig(h=0.2, t_final=12.0, snapshot_every=0.5)
+    margins = (0.0, 1.0, 2.5)
+    streamed = an.read_once(march(p, cfg), *(an.GlobalSignPass(m) for m in margins))
+    traj = solve(p, cfg)
+    assert streamed == tuple(an.global_sign_report(traj, m) for m in margins)
+    assert all(cert.passed for cert in streamed)
+
+
+@pytest.mark.parametrize("name, snapshots", [("homogeneous_kpp", 31), ("piecewise_theorem2", 41)])
+def test_run_reads_its_trajectory_once(tmp_path, monkeypatch, name, snapshots):
+    iterations, positions = [], []
+    iterate, position = Trajectory.__iter__, an.level_position
+
+    def counted_iter(self):
+        iterations.append(1)
+        return iterate(self)
+
+    def counted_position(*args, **kwargs):
+        positions.append(1)
+        return position(*args, **kwargs)
+
+    monkeypatch.setattr(Trajectory, "__iter__", counted_iter)
+    monkeypatch.setattr(an, "level_position", counted_position)
+    setup = load_config(CONFIGS / f"{name}.json")
+    traj, _, _ = cli._run_untreated(setup, tmp_path)
+    assert len(traj.snapshots) == snapshots
+    assert (len(iterations), len(positions)) == (1, snapshots * len(setup.analysis.levels))
