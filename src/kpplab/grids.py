@@ -127,6 +127,19 @@ class GridFunction:
         return mask
 
 
+def empty_aligned(shape) -> np.ndarray:
+    """``np.empty(shape)`` whose data starts on a 64-byte boundary.
+
+    numpy aligns its own allocations to 16 bytes only. A ufunc writing into
+    a buffer that is not 64-byte aligned splits its AVX-512 stores across
+    cache lines: a 4000-element subtract into one ran about 1.5x slower. The
+    step kernels' buffers are made here, so their speed does not depend on
+    where malloc put them."""
+    raw = np.empty(int(np.prod(shape)) + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + raw.size - 8].reshape(shape)
+
+
 def assert_same_grid(a: GridFunction, b: GridFunction) -> None:
     if a.values.shape != b.values.shape or a.origin != b.origin or a.h != b.h:
         raise ValueError("grid functions live on different grids.")

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, empty_aligned
 
 ZERO_TOL = 1e-12
 S0_WINDOW = 0.1  # the linear lower bound f(x,s) >= mu s is measured on s in (0, S0_WINDOW]
@@ -135,20 +135,22 @@ class Reaction:
     x_independent: ClassVar[bool] = False  # f(x,.) the same at every x
     linear_near_zero: ClassVar[bool] = False  # f(x,u) = r(x) u with r > 0 for u near 0
 
-    def bind(self, points) -> Optional[Callable[..., np.ndarray]]:
-        """f(x, .) at fixed points as a function ``f(u, out=None)`` of u alone;
+    def bind(self, points) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+        """f(x, .) at fixed points as a function ``f(u, out)`` of u alone;
         None for f = 0.
 
-        The x-dependent factors are computed once, so a time march evaluates
-        only the u-dependent part at each step. With ``out`` (an array of the
-        points' shape) the result is written there and returned.
+        ``f`` writes f(x, u) into ``out`` and returns it; u and out have the
+        points' shape, and out must not overlap u. The x-dependent factors
+        and the spare buffers are made once, so a time march evaluates only
+        the u-dependent part at each step and allocates no array.
         """
         raise NotImplementedError
 
     def evaluate(self, points, u) -> np.ndarray:
+        """f(x, u) at points, into a new array; u has the points' shape."""
         u = np.asarray(u, dtype=float)
         f = self.bind(points)
-        return np.zeros_like(u) if f is None else f(u)
+        return np.zeros_like(u) if f is None else f(u, np.empty_like(u))
 
     def lipschitz_bound(self, xs) -> float:
         """Upper bound on |df/du|, uniform in x; kinds that depend on x bound
@@ -176,9 +178,17 @@ class Logistic(Reaction):
         if not self.rate > 0:
             raise ValueError("logistic rate must be positive.")
 
-    def bind(self, points) -> Callable[..., np.ndarray]:
-        rate = self.rate
-        return lambda u, out=None: np.multiply(np.multiply(rate, u, out=out), 1.0 - u, out=out)
+    def bind(self, points) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        # (rate*u)*(1-u); at rate 1.0 the product rate*u is u, so skipping it
+        # changes no bit
+        one_minus = empty_aligned(np.shape(_first_coord(points)))
+
+        def f(u, out):
+            np.subtract(1.0, u, out=one_minus)
+            scaled = u if self.rate == 1.0 else np.multiply(self.rate, u, out=out)
+            return np.multiply(scaled, one_minus, out=out)
+
+        return f
 
     def lipschitz_bound(self, xs) -> float:
         return self.rate
@@ -214,10 +224,10 @@ class Separable(Reaction):
         if not self.g_lipschitz >= 0:
             raise ValueError("g_lipschitz must be a nonnegative bound on |g'|.")
 
-    def bind(self, points) -> Callable[..., np.ndarray]:
+    def bind(self, points) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         rx = np.asarray(self.r_func(np.asarray(_first_coord(points), dtype=float)), dtype=float)
         g = self.g_func
-        return lambda u, out=None: np.multiply(rx, np.asarray(g(u), dtype=float), out=out)
+        return lambda u, out: np.multiply(rx, np.asarray(g(u), dtype=float), out=out)
 
     def lipschitz_bound(self, xs) -> float:
         """g_lipschitz times the largest |r| at ``xs``."""
@@ -247,24 +257,25 @@ class PiecewiseKPP(Blend, Reaction):
         if not self.radius > 0:
             raise ValueError("blend radius must be positive.")
 
-    def unit_tent(self, u) -> np.ndarray:
-        """min(u, theta*(1-u)/(1-theta)): the tent profile at rate 1."""
-        u = np.asarray(u, dtype=float)
-        return np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
-
     def tent(self, u, rate: float) -> np.ndarray:
         """Tent profile rate*min(u, theta*(1-u)/(1-theta)); linear on [0,theta]."""
-        return rate * self.unit_tent(u)
+        u = np.asarray(u, dtype=float)
+        return rate * np.minimum(u, self.theta * (1.0 - u) / (1.0 - self.theta))
 
-    def bind(self, points) -> Callable[..., np.ndarray]:
+    def bind(self, points) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         w = self.blend_weight(_first_coord(points))
         w_minus = 1.0 - w
+        core = empty_aligned(w.shape)
 
-        def f(u, out=None):
+        def f(u, out):
             # the same products as w*tent(u, rate_plus) + (1-w)*tent(u, rate_minus),
-            # with the shared profile evaluated once
-            core = self.unit_tent(u)
-            return np.add(w * (self.rate_plus * core), w_minus * (self.rate_minus * core), out=out)
+            # with the shared profile evaluated once: out holds the first term
+            # while core becomes the second
+            np.multiply(self.theta, np.subtract(1.0, u, out=core), out=core)
+            np.minimum(u, np.divide(core, 1.0 - self.theta, out=core), out=core)
+            np.multiply(w, np.multiply(self.rate_plus, core, out=out), out=out)
+            np.multiply(w_minus, np.multiply(self.rate_minus, core, out=core), out=core)
+            return np.add(out, core, out=out)
 
         return f
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, empty_aligned
 from .model import CoefficientField, Constant, Problem, Reaction, Separable, Zero
 from .model import make_initial, validate_problem
 
@@ -68,14 +68,16 @@ class SolverConfig:
             raise ValueError("boundary_leak_tolerance and hard_leak_threshold must be nonnegative.")
 
     def resolved_snapshot_times(self) -> np.ndarray:
+        """0, the times asked for in (0, t_final], and t_final when the last
+        of them falls short of it: a run always reaches t_final."""
         if self.snapshot_times is not None:
             ts = np.asarray(sorted(set(float(t) for t in self.snapshot_times)))
         else:
             every = self.snapshot_every if self.snapshot_every is not None else self.t_final
             n = int(math.floor(self.t_final / every + 1e-9))
             ts = np.arange(1, n + 1) * every
-        ts = ts[ts <= self.t_final + 1e-9]
-        return np.concatenate(([0.0], ts[ts > 1e-12]))
+        ts = np.concatenate(([0.0], ts[(ts > 1e-12) & (ts <= self.t_final + 1e-9)]))
+        return ts if ts[-1] >= self.t_final - 1e-9 else np.append(ts, self.t_final)
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,7 @@ class _Stepper:
         self.h = grid.h
         self.inv_h2 = 1.0 / grid.h**2
         self.interior = (slice(1, -1),) * grid.dim
+        self._inner = _views(self.interior)
         if faces is None:
             faces = _faces(coeff, grid)
         self.a_max = float(max(np.max(f) for f in faces))
@@ -189,11 +192,16 @@ class _Stepper:
         """Advance ``u`` by one explicit Euler step in place and return it.
 
         The whole divergence is computed before the interior is written, and
-        the boundary nodes are not touched."""
-        inner = u[self.interior]
+        the boundary nodes are not touched. The step allocates no array."""
         div = self._div(u)
+        (inner,) = self._inner(u)
         np.add(inner, np.multiply(div, dt, out=div), out=inner)
         return u
+
+    @cached_property
+    def _reaction_out(self) -> np.ndarray:
+        # what the IMEX step evaluates the reaction into
+        return np.empty(self.grid.npoints[0] - 2)
 
     def step_imex(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``u`` by one IMEX step in place and return it: explicit
@@ -221,7 +229,7 @@ class _Stepper:
             self._solves = {full: self._solves.get(full, factored), dt: factored}
         star = u[1:-1]
         if self.f_interior is not None:
-            star += dt * self.f_interior(star)
+            star += dt * self.f_interior(star, self._reaction_out)
         star[0] += dt * self.faces[0] * u[0] * self.inv_h2
         star[-1] += dt * self.faces[-1] * u[-1] * self.inv_h2
         new, info = factored(star)
@@ -238,30 +246,47 @@ def _check_lapack(routine: str, info: int, dt: float) -> None:
         )
 
 
+def _views(*indices) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+    """``of(u)``: the views ``u[index]`` of each index, formed again only
+    when ``of`` is handed a different array than the last time. A march steps
+    one array from start to end, so it slices its state once."""
+    held, views = None, ()
+
+    def of(u: np.ndarray) -> tuple[np.ndarray, ...]:
+        nonlocal held, views
+        if u is not held:
+            held, views = u, tuple(u[i] for i in indices)
+        return views
+
+    return of
+
+
 # The divergence routines below write div_h(a grad_h u) + f(x,u) at the
 # interior nodes into a buffer they own and return it, so each call
-# overwrites what the previous one returned. They use the same ufuncs in the
-# same order as the allocating expressions flux = a*(u[1:] - u[:-1]),
-# (flux[1:] - flux[:-1])*inv_h2 + f(u[1:-1]), so every bit matches. They are
-# closures over their buffers, not methods: a bound method stored on the
-# stepper would make a reference cycle and keep the buffers alive until the
-# cyclic garbage collector runs.
+# overwrites what the previous one returned; they allocate no array. They use
+# the same ufuncs in the same order as the allocating expressions
+# flux = a*(u[1:] - u[:-1]), (flux[1:] - flux[:-1])*inv_h2 + f(u[1:-1]), so
+# every bit matches. They are closures over their buffers, not methods: a
+# bound method stored on the stepper would make a reference cycle and keep
+# the buffers alive until the cyclic garbage collector runs.
 
 
 def _div_1d(faces: np.ndarray, inv_h2: float, f) -> Callable[[np.ndarray], np.ndarray]:
     a = _face_factor(faces)
-    flux = np.empty(faces.size)
-    out = np.empty(faces.size - 1)
-    scratch = flux[:-1]
+    flux = empty_aligned(faces.size)
+    out = empty_aligned(faces.size - 1)
+    scratch, flux_hi = flux[:-1], flux[1:]
+    state = _views(slice(1, None), slice(None, -1), slice(1, -1))
 
     def div(u: np.ndarray) -> np.ndarray:
-        np.subtract(u[1:], u[:-1], out=flux)
+        hi, lo, inner = state(u)
+        np.subtract(hi, lo, out=flux)
         if a is not None:
             np.multiply(flux, a, out=flux)
-        np.subtract(flux[1:], flux[:-1], out=out)
+        np.subtract(flux_hi, scratch, out=out)
         np.multiply(out, inv_h2, out=out)
         if f is not None:
-            np.add(out, f(u[1:-1], out=scratch), out=out)
+            np.add(out, f(inner, scratch), out=out)
         return out
 
     return div
@@ -274,16 +299,19 @@ def _div_2d(
     ax = _face_factor(faces_x[:, 1:-1])
     ay = _face_factor(faces_y[1:-1, :])
     nx, ny = faces_y.shape[0], faces_x.shape[1]
-    fx = np.empty((nx - 1, ny - 2))
-    fy = np.empty((nx - 2, ny - 1))
-    out = np.empty((nx - 2, ny - 2))
+    fx = empty_aligned((nx - 1, ny - 2))
+    fy = empty_aligned((nx - 2, ny - 1))
+    out = empty_aligned((nx - 2, ny - 2))
     scratch = fx[:-1]  # free once fx has been differenced
+    i, hi, lo = slice(1, -1), slice(1, None), slice(None, -1)
+    state = _views((hi, i), (lo, i), (i, hi), (i, lo), (i, i))
 
     def div(u: np.ndarray) -> np.ndarray:
-        np.subtract(u[1:, 1:-1], u[:-1, 1:-1], out=fx)
+        x_hi, x_lo, y_hi, y_lo, inner = state(u)
+        np.subtract(x_hi, x_lo, out=fx)
         if ax is not None:
             np.multiply(fx, ax, out=fx)
-        np.subtract(u[1:-1, 1:], u[1:-1, :-1], out=fy)
+        np.subtract(y_hi, y_lo, out=fy)
         if ay is not None:
             np.multiply(fy, ay, out=fy)
         np.subtract(fx[1:], fx[:-1], out=out)
@@ -291,7 +319,7 @@ def _div_2d(
         np.add(out, scratch, out=out)
         np.multiply(out, inv_h2, out=out)
         if f is not None:
-            np.add(out, f(u[1:-1, 1:-1], out=scratch), out=out)
+            np.add(out, f(inner, scratch), out=out)
         return out
 
     return div
@@ -333,12 +361,13 @@ class _Mirror(_Whole):
         centres = [n // 2 for n in shape]  # m of each axis
         self.half = tuple(slice(0, m + 2) for m in centres)  # nodes 0..m and the ghost
         self.kept = tuple(slice(0, m + 1) for m in centres)  # nodes 0..m
-        self.ghosts = []  # (ghost, node m-1) index pairs, one per axis
+        ghosts = []  # ghost, node m-1 index pairs, one pair per axis
         self.mirrors = []  # (nodes m+1..2m, nodes m-1..0) index pairs, one per axis
         for k, m in enumerate(centres):
             lead = (slice(None),) * k
-            self.ghosts.append((lead + (-1,), lead + (-3,)))
+            ghosts += [lead + (slice(-1, None),), lead + (slice(-3, -2),)]
             self.mirrors.append((lead + (slice(m + 1, None),), lead + (slice(m - 1, None, -1),)))
+        self.ghosts = _views(*ghosts)
 
     def grid(self, whole: Grid) -> Grid:
         return Grid(whole.origin, tuple(s.stop for s in self.half), whole.h)
@@ -354,8 +383,9 @@ class _Mirror(_Whole):
         return u[self.half]
 
     def after_step(self, t: float, state: np.ndarray) -> None:
-        for ghost, node in self.ghosts:
-            state[ghost] = state[node]
+        views = iter(self.ghosts(state))  # each ghost, then the node it copies
+        for ghost in views:
+            ghost[...] = next(views)
 
     def unfold(self, state: np.ndarray) -> np.ndarray:
         whole = np.empty(self.shape)

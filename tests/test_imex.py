@@ -37,7 +37,7 @@ def reference_step_imex(stepper: _Stepper, u: np.ndarray, dt: float) -> np.ndarr
     chol = cholesky_banded(ab, lower=False)
     star = u[1:-1].copy()
     if stepper.f_interior is not None:
-        star += dt * stepper.f_interior(u[1:-1])
+        star += dt * stepper.f_interior(u[1:-1], np.empty(n_in))
     star[0] += dt * stepper.faces[0] * u[0] * stepper.inv_h2
     star[-1] += dt * stepper.faces[-1] * u[-1] * stepper.inv_h2
     new = u.copy()

@@ -205,6 +205,27 @@ def test_trajectory_times_strictly_increasing():
     assert np.all(np.diff(t) > 0)
 
 
+@pytest.mark.parametrize(
+    "comb, t_final, want",
+    [
+        ({"snapshot_every": 7.0}, 5.0, [0.0, 5.0]),
+        ({"snapshot_every": 7.0}, 30.0, [0.0, 7.0, 14.0, 21.0, 28.0, 30.0]),
+        ({"snapshot_times": (1.0, 2.0)}, 5.0, [0.0, 1.0, 2.0, 5.0]),
+        ({"snapshot_every": 0.5}, 2.0, [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ],
+)
+def test_resolved_snapshot_times_end_at_t_final(comb, t_final, want):
+    cfg = SolverConfig(h=0.1, t_final=t_final, **comb)
+    assert cfg.resolved_snapshot_times().tolist() == want
+
+
+def test_run_reaches_t_final_when_the_comb_overshoots_it():
+    # a comb of 7 with t_final 5 once marched nothing and stopped at t = 0
+    traj = solve(homogeneous_kpp(half_width=30.0), SolverConfig(h=0.1, t_final=5.0, snapshot_every=7.0))
+    assert traj.times().tolist() == [0.0, 5.0]
+    assert not np.array_equal(traj.snapshots[0].u.values, traj.snapshots[1].u.values)
+
+
 def test_fundamental_solution_matches_heat_kernel():
     grid = Grid.centered(40.0, 0.05, 1)
     res = fundamental_solution(Constant(1.0), [1.0], (0.0,), grid)

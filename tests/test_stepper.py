@@ -9,6 +9,7 @@ took ``out=``, and a step on ``u.copy()``. Both must give the same bits,
 signed zeros and subnormals included.
 """
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpplab.config import load_config
-from kpplab.grids import Grid, GridFunction
+from kpplab.grids import Grid, GridFunction, empty_aligned
 from kpplab.model import (
     Constant,
     Gaussian,
@@ -36,6 +37,7 @@ from kpplab.solver import (
     MAXPRINCIPLE_TOL,
     Snapshot,
     SolverConfig,
+    _Mirror,
     _resolve_dt,
     _Stepper,
     fundamental_solution,
@@ -113,6 +115,7 @@ COEFFICIENTS = st.one_of(
 
 REACTIONS = st.one_of(
     st.just(Zero()),
+    st.just(Logistic(1.0)),  # the bound closure skips the product by rate 1.0
     st.floats(0.1, 50.0).map(Logistic),
     st.floats(0.1, 5.0).map(
         lambda r: Separable(lambda x: r * (1.5 + np.cos(x)), lambda u: u * (1.0 - u), 1.0)
@@ -159,6 +162,86 @@ def test_in_place_kernel_matches_allocating_reference(
         assert_same_bits(got, want)
         assert_same_bits(got[boundary], held)
         assert_same_bits(stepper.rhs(u), reference_rhs(stepper, u))
+
+
+KINDS = [
+    Zero(),
+    Logistic(1.0),
+    Logistic(1.3),
+    Separable(lambda x: 1.5 + np.cos(x), lambda u: u * (1.0 - u), 1.0),
+    PiecewiseKPP(0.5, 1.0, 0.3, 1.0),
+]
+
+
+def random_state(grid: Grid, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, 1.0, grid.npoints)
+
+
+def test_stepper_slices_each_buffer_it_is_handed():
+    # a march steps one buffer, so the views of it are formed once; a stepper
+    # handed another buffer must form them again, and again for the first
+    for dim in (1, 2):
+        grid = Grid.centered(1.0, 0.25, dim)
+        for reaction in KINDS:
+            stepper = _Stepper(Sine(1.0, 0.3, 0.7), reaction, grid)
+            dt = stepper.auto_dt()
+            a, b = random_state(grid, 1), random_state(grid, 2)
+            for u in (a, b, a, b):
+                want = reference_step(stepper, u, dt)
+                assert_same_bits(stepper.step_explicit(u, dt), want)
+                assert_same_bits(stepper.rhs(u), reference_rhs(stepper, u))
+        mirror = _Mirror(grid.npoints)
+        a, b = random_state(mirror.grid(grid), 3), random_state(mirror.grid(grid), 4)
+        for u in (a, b, a):
+            mirror.after_step(0.0, u)
+            for axis in range(dim):
+                assert_same_bits(np.take(u, -1, axis), np.take(u, -3, axis))
+
+
+def test_explicit_step_allocates_no_grid_sized_array():
+    # numpy's iterator takes buffers of a fixed size (about 130 kB) for the
+    # strided 2D operands; the 2D grid is large enough to tell them apart
+    for dim, half_width in ((1, 50.0), (2, 20.0)):
+        grid = Grid.centered(half_width, 0.1, dim)
+        nbytes = np.empty(grid.npoints)[(slice(1, -1),) * dim].nbytes
+        for reaction in (Zero(), Logistic(1.0), Logistic(1.3), PiecewiseKPP(0.5, 1.0, 0.3, 1.0)):
+            stepper = _Stepper(Constant(1.0), reaction, grid)
+            u = random_state(grid, 5)
+            dt = stepper.auto_dt()
+            stepper.step_explicit(u, dt)  # forms the views of u
+            tracemalloc.start()
+            try:
+                for _ in range(50):
+                    stepper.step_explicit(u, dt)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < nbytes // 2, (dim, reaction)
+
+
+def test_kernel_buffers_start_on_a_cache_line():
+    for shape in ((), (1,), (4001,), (121, 120), (3, 7)):
+        buffers = [empty_aligned(shape) for _ in range(4)]
+        for a in buffers:
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.ctypes.data % 64 == 0
+        assert_no_shared_memory(buffers)
+
+
+def test_evaluate_is_the_bound_closure_into_a_new_array():
+    x = np.linspace(-3.0, 3.0, 41)
+    u = np.random.default_rng(6).uniform(0.0, 1.0, x.shape)
+    u[:4] = (-0.0, 0.0, 5e-324, 1.0)
+    for reaction in KINDS:
+        got = reaction.evaluate(x, u)
+        f = reaction.bind(x)
+        if f is None:
+            assert_same_bits(got, np.zeros_like(u))
+            continue
+        out = np.empty_like(u)
+        assert f(u, out) is out
+        assert_same_bits(got, out)
+        assert_same_bits(got, reference_reaction(reaction, x)(u))
 
 
 def test_stepper_is_freed_without_the_cycle_collector():
