@@ -142,11 +142,13 @@ class _TrajectoryWriter:
                 self._join()
 
 
-def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, list[str]]:
+def _run_untreated(setup: RunSetup, outdir: Path, then=None) -> tuple[Trajectory, dict, list[str]]:
     """Solve and certify the untreated run and write its artifacts; returns the
     trajectory, its headline metrics and the names of the files written.
     trajectory.csv is written by a child process while the solve and the
-    certificates run, and is complete when this returns."""
+    certificates run, and is complete when this returns. ``then(traj=...,
+    metrics=...)``, when given, runs after the other artifacts are written and
+    before the child is waited for, so it overlaps the end of trajectory.csv."""
     outdir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {}
     report = validate_problem(setup.problem)
@@ -196,6 +198,8 @@ def _run_untreated(setup: RunSetup, outdir: Path) -> tuple[Trajectory, dict, lis
 
         (outdir / "certificate.txt").write_text("\n".join(cert_lines) + "\n")
         written.append("certificate.txt")
+        if then is not None:
+            then(traj=traj, metrics=metrics)
     return traj, metrics, written
 
 
@@ -212,9 +216,10 @@ def _run_protocol(setup: RunSetup, traj: Trajectory, outdir: Path, metrics: dict
 
 
 def _run_pipeline(setup: RunSetup, outdir: Path) -> dict:
-    """Solve, certify, and write artifacts; returns headline metrics."""
-    traj, metrics, _ = _run_untreated(setup, outdir)
-    return _run_protocol(setup, traj, outdir, metrics)
+    """Solve, certify, and write artifacts; returns headline metrics. The
+    protocol runs while the writer child finishes trajectory.csv, so a writer
+    failure is reported after the protocol's files are written."""
+    return _run_untreated(setup, outdir, then=partial(_run_protocol, setup, outdir=outdir))[1]
 
 
 def cmd_run(args) -> int:

@@ -127,8 +127,9 @@ class GridFunction:
         return mask
 
 
-def empty_aligned(shape) -> np.ndarray:
-    """``np.empty(shape)`` whose data starts on a 64-byte boundary.
+def empty_aligned(shape, offset: int = 0) -> np.ndarray:
+    """``np.empty(shape)`` whose element ``offset``, counted in C order,
+    starts on a 64-byte boundary; by default the first.
 
     numpy aligns its own allocations to 16 bytes only. A ufunc writing into
     a buffer that is not 64-byte aligned splits its AVX-512 stores across
@@ -136,7 +137,7 @@ def empty_aligned(shape) -> np.ndarray:
     step kernels' buffers are made here, so their speed does not depend on
     where malloc put them."""
     raw = np.empty(int(np.prod(shape)) + 8)
-    start = (-raw.ctypes.data % 64) // 8
+    start = ((-raw.ctypes.data % 64) // 8 - offset) % 8
     return raw[start : start + raw.size - 8].reshape(shape)
 
 

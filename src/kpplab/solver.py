@@ -141,7 +141,6 @@ class _Stepper:
         self.h = grid.h
         self.inv_h2 = 1.0 / grid.h**2
         self.interior = (slice(1, -1),) * grid.dim
-        self._inner = _views(self.interior)
         if faces is None:
             faces = _faces(coeff, grid)
         self.a_max = float(max(np.max(f) for f in faces))
@@ -150,10 +149,21 @@ class _Stepper:
             self.f_interior = reaction.bind(grid.axis(0)[1:-1])
             self._div = _div_1d(self.faces, self.inv_h2, self.f_interior)
         else:
+            # the reaction covers whole interior rows, boundary columns included
             self.faces_x, self.faces_y = faces
             x, y = grid.axis(0), grid.axis(1)
-            self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y[1:-1], indexing="ij"))
+            self.f_interior = reaction.bind(np.meshgrid(x[1:-1], y, indexing="ij"))
             self._div = _div_2d(self.faces_x, self.faces_y, self.inv_h2, self.f_interior)
+        # The interior nodes of what _div returns: all of it in 1D, the interior
+        # columns of its whole rows in 2D. The step adds the scaled divergence to
+        # one contiguous run of the flattened state, from the first interior node
+        # to the last; in 2D the run also holds the boundary nodes between
+        # interior rows, where _div_2d's output is -0.0, and x + -0.0 is x bit
+        # for bit, signed zeros included.
+        n, lead = grid.npoints[-1], grid.dim - 1
+        self._div_inner = (slice(None),) + (slice(1, -1),) * lead
+        self._run = _views(slice(lead * n + 1, -(lead * n + 1)), flat=lead > 0)
+        self._scaled = _views(slice(lead, -lead or None), flat=True)
         # dt -> dpttrs bound to the factor of I - dt*A, for the largest dt seen
         # (the march's full step) and the last shorter one
         self._solves: dict[float, Callable] = {}
@@ -185,17 +195,19 @@ class _Stepper:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
-        out[self.interior] = self._div(u)
+        out[self.interior] = self._div(np.ascontiguousarray(u))[self._div_inner]
         return out
 
     def step_explicit(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Advance ``u`` by one explicit Euler step in place and return it.
 
         The whole divergence is computed before the interior is written, and
-        the boundary nodes are not touched. The step allocates no array."""
+        the boundary nodes keep their bits. The step allocates no array; a 2D
+        ``u`` must be C-contiguous, as a march's state is."""
         div = self._div(u)
-        (inner,) = self._inner(u)
-        np.add(inner, np.multiply(div, dt, out=div), out=inner)
+        np.multiply(div, dt, out=div)
+        (run,), (scaled,) = self._run(u), self._scaled(div)
+        np.add(run, scaled, out=run)
         return u
 
     @cached_property
@@ -246,16 +258,20 @@ def _check_lapack(routine: str, info: int, dt: float) -> None:
         )
 
 
-def _views(*indices) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+def _views(*indices, flat: bool = False) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """``of(u)``: the views ``u[index]`` of each index, formed again only
     when ``of`` is handed a different array than the last time. A march steps
-    one array from start to end, so it slices its state once."""
+    one array from start to end, so it slices its state once. With ``flat``
+    the indices are taken on ``u`` flattened, which must then be a view."""
     held, views = None, ()
 
     def of(u: np.ndarray) -> tuple[np.ndarray, ...]:
         nonlocal held, views
         if u is not held:
-            held, views = u, tuple(u[i] for i in indices)
+            if flat and not u.flags.c_contiguous:  # reshape would copy: a stale view
+                raise ValueError("the 2D step needs a C-contiguous state.")
+            base = u.reshape(-1) if flat else u
+            held, views = u, tuple(base[i] for i in indices)
         return views
 
     return of
@@ -295,31 +311,45 @@ def _div_1d(faces: np.ndarray, inv_h2: float, f) -> Callable[[np.ndarray], np.nd
 def _div_2d(
     faces_x: np.ndarray, faces_y: np.ndarray, inv_h2: float, f
 ) -> Callable[[np.ndarray], np.ndarray]:
-    # only the fluxes through faces of interior rows and columns enter
-    ax = _face_factor(faces_x[:, 1:-1])
-    ay = _face_factor(faces_y[1:-1, :])
+    # Every operand is a whole run of rows, which numpy iterates as one
+    # contiguous block. The x-flux is u[1:] - u[:-1]. The y-flux is one
+    # difference of u flattened: index i*ny+j is the flux between (i,j) and
+    # (i,j+1), and i*ny+ny-1 pairs the end of row i with the start of row i+1.
+    # The divergence and the reaction cover whole interior rows, shape
+    # (nx-2, ny). Their first and last columns pair values across the held
+    # boundary or a row end; nothing reads those, and the output's are set
+    # to -0.0 for the step's contiguous add.
     nx, ny = faces_y.shape[0], faces_x.shape[1]
-    fx = empty_aligned((nx - 1, ny - 2))
-    fy = empty_aligned((nx - 2, ny - 1))
-    out = empty_aligned((nx - 2, ny - 2))
-    scratch = fx[:-1]  # free once fx has been differenced
-    i, hi, lo = slice(1, -1), slice(1, None), slice(None, -1)
-    state = _views((hi, i), (lo, i), (i, hi), (i, lo), (i, i))
+    ax = _face_factor(faces_x)
+    ay = empty_aligned((nx, ny))  # faces_y laid on the flattened flux
+    ay[:, :-1], ay[:, -1] = faces_y, 1.0
+    ay = _face_factor(ay.reshape(-1)[:-1])
+    fx = empty_aligned((nx - 1, ny))
+    fy = empty_aligned(nx * ny - 1)
+    out = empty_aligned((nx - 2, ny))
+    edges = out[:, :: ny - 1]  # its first and last columns
+    fx_hi, scratch = fx[1:], fx[:-1]  # scratch is free once fx has been differenced
+    rows = (nx - 2) * ny  # the y-divergence of row i at j is fy[i*ny+j] - fy[i*ny+j-1]
+    fy_hi, fy_lo, scratch_flat = fy[ny : ny + rows], fy[ny - 1 : ny - 1 + rows], scratch.reshape(-1)
+    state = _views(slice(1, None), slice(None, -1), slice(1, -1))
+    flat = _views(slice(1, None), slice(None, -1), flat=True)
 
     def div(u: np.ndarray) -> np.ndarray:
-        x_hi, x_lo, y_hi, y_lo, inner = state(u)
+        x_hi, x_lo, inner = state(u)
+        y_hi, y_lo = flat(u)
         np.subtract(x_hi, x_lo, out=fx)
         if ax is not None:
             np.multiply(fx, ax, out=fx)
         np.subtract(y_hi, y_lo, out=fy)
         if ay is not None:
             np.multiply(fy, ay, out=fy)
-        np.subtract(fx[1:], fx[:-1], out=out)
-        np.subtract(fy[:, 1:], fy[:, :-1], out=scratch)
+        np.subtract(fx_hi, scratch, out=out)
+        np.subtract(fy_hi, fy_lo, out=scratch_flat)
         np.add(out, scratch, out=out)
         np.multiply(out, inv_h2, out=out)
         if f is not None:
             np.add(out, f(inner, scratch), out=out)
+        edges.fill(-0.0)
         return out
 
     return div
@@ -373,9 +403,10 @@ class _Mirror(_Whole):
         return Grid(whole.origin, tuple(s.stop for s in self.half), whole.h)
 
     def fold_faces(self, faces: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        # along its own axis a face array has one entry fewer than the nodes
+        # along its own axis a face array has one entry fewer than the nodes;
+        # copies, so that the whole grid's faces are freed while the march runs
         return tuple(
-            f[tuple(slice(0, s.stop - (k == axis)) for k, s in enumerate(self.half))]
+            f[tuple(slice(0, s.stop - (k == axis)) for k, s in enumerate(self.half))].copy()
             for axis, f in enumerate(faces)
         )
 
@@ -451,20 +482,22 @@ def _resolve_dt(stepper: _Stepper, cfg: SolverConfig) -> float:
 
 
 def _march(
-    state: np.ndarray,
+    u0: np.ndarray,
     t: float,
     targets: Sequence[float],
     dt: float,
     advance: Callable[[np.ndarray, float], np.ndarray],
     after_step: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Step a copy of ``state`` from ``t`` through the sorted targets, yielding
+    """Step a copy of ``u0`` from ``t`` through the sorted targets, yielding
     (t, state) on reaching each one. The last step before a target is
     shortened to land on it exactly; ``after_step(t, state)`` runs after every
     step (boundary traces, blow-up guards). ``advance`` may update the state
     in place, so the yielded array changes with the next step: callers copy
-    what they keep."""
-    state = state.copy()
+    what they keep. The copy's first interior node, the first one a step
+    writes, starts on a 64-byte boundary (``empty_aligned``)."""
+    state = empty_aligned(u0.shape, np.ravel_multi_index((1,) * u0.ndim, u0.shape))
+    state[...] = u0
     for target in targets:
         while t < target - 1e-12:
             dtk = min(dt, target - t)

@@ -460,6 +460,41 @@ def test_cli_run_unwritable_artifact_exits_2(tmp_path, capfd):
     assert_no_child_left()
 
 
+def test_protocol_abort_leaves_a_complete_trajectory(tmp_path, monkeypatch, capfd):
+    # the protocol runs while the writer child finishes trajectory.csv: an
+    # abort in it still waits for the child, whose file is whole
+    def aborting(traj, schedule):
+        raise NumericalError("treated run left [0, 1]")
+
+    monkeypatch.setattr(cli.tu, "run_protocol", aborting)
+    treated, plain = tmp_path / "treated", tmp_path / "plain"
+    cfg = write_config(tmp_path, TREATED)
+    assert main(["run", "--config", str(cfg), "--out", str(treated)]) == 3
+    assert capfd.readouterr().err.splitlines() == ["numerical abort: treated run left [0, 1]"]
+    assert_no_child_left()
+    cfg = write_config(tmp_path, MINIMAL, "plain.json")  # the same run without a tumor block
+    assert main(["run", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert (treated / "trajectory.csv").read_bytes() == (plain / "trajectory.csv").read_bytes()
+    assert not (treated / "protocol.csv").exists()
+
+
+def test_cli_run_with_protocol_unwritable_trajectory_exits_2(tmp_path, capfd):
+    # the writer child is waited for after the protocol, which may have
+    # written its files by then; the failure is still one output error
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, TREATED)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("output error:")] == [
+        f"output error: could not write {out / 'trajectory.csv'}: "
+        "the writer process exited with status 1"
+    ]
+    assert (out / "trajectory.csv").is_dir()
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cli_sweep_unwritable_point_directory_exits_2(tmp_path, capfd, jobs):
     out = tmp_path / "sweep"
